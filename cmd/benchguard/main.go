@@ -7,7 +7,7 @@
 //
 //	benchguard -baseline results/BENCH_engine.json -current /tmp/bench.json [-max-regress 0.25]
 //
-// For every engine and batched entry present in both files, the current
+// For every engine entry present in both files, the current
 // sim_mcycles_per_sec must be at least (1 - max-regress) times the
 // baseline's. Entries present on only one side are reported but do not
 // fail the run (new configurations should not need a baseline edit to
@@ -30,7 +30,6 @@ type record struct {
 type benchFile struct {
 	GoVersion string            `json:"go_version"`
 	Engines   map[string]record `json:"engines"`
-	Batched   map[string]record `json:"batched"`
 }
 
 func load(path string) (*benchFile, error) {
@@ -43,19 +42,6 @@ func load(path string) (*benchFile, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &f, nil
-}
-
-// flatten merges the engines and batched maps into one namespace; batched
-// keys are already distinct (BatchedK) from engine config names.
-func flatten(f *benchFile) map[string]float64 {
-	out := make(map[string]float64, len(f.Engines)+len(f.Batched))
-	for k, r := range f.Engines {
-		out[k] = r.MCyclesPerSec
-	}
-	for k, r := range f.Batched {
-		out[k] = r.MCyclesPerSec
-	}
-	return out
 }
 
 func main() {
@@ -78,7 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
-	bm, cm := flatten(base), flatten(cur)
+	bm, cm := base.Engines, cur.Engines
 	names := make([]string, 0, len(bm))
 	for k := range bm {
 		names = append(names, k)
@@ -88,7 +74,7 @@ func main() {
 	floor := 1 - *maxRegress
 	failed := false
 	for _, name := range names {
-		b := bm[name]
+		b := bm[name].MCyclesPerSec
 		c, ok := cm[name]
 		if !ok {
 			fmt.Printf("%-18s baseline %8.3f Mcyc/s, missing from current (skipped)\n", name, b)
@@ -98,17 +84,17 @@ func main() {
 			fmt.Printf("%-18s baseline throughput unset (skipped)\n", name)
 			continue
 		}
-		ratio := c / b
+		ratio := c.MCyclesPerSec / b
 		status := "ok"
 		if ratio < floor {
 			status = "REGRESSED"
 			failed = true
 		}
-		fmt.Printf("%-18s baseline %8.3f -> current %8.3f Mcyc/s  (%.2fx)  %s\n", name, b, c, ratio, status)
+		fmt.Printf("%-18s baseline %8.3f -> current %8.3f Mcyc/s  (%.2fx)  %s\n", name, b, c.MCyclesPerSec, ratio, status)
 	}
 	for k, c := range cm {
 		if _, ok := bm[k]; !ok {
-			fmt.Printf("%-18s current %8.3f Mcyc/s, no baseline (skipped)\n", k, c)
+			fmt.Printf("%-18s current %8.3f Mcyc/s, no baseline (skipped)\n", k, c.MCyclesPerSec)
 		}
 	}
 	if failed {

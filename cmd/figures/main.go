@@ -52,7 +52,6 @@ func main() {
 		memProf     = flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
 		timeout     = flag.Duration("timeout", 0, "per-cell simulation timeout (0 = none)")
 		resume      = flag.String("resume", "", "journal file: completed cells persist and resume across runs")
-		batch       = flag.Bool("batch", false, "run dynamic cells sharing a translated image as batched lanes (one fetch/decode pass per group)")
 		schedgapF   = flag.Bool("schedgap", false, "print the static scheduler optimality-gap table and refresh results/SCHEDGAP.json instead of the figures")
 		schedgapOut = flag.String("schedgap-out", "results/SCHEDGAP.json", "with -schedgap: write the JSON report here ('' = print only)")
 	)
@@ -71,7 +70,7 @@ func main() {
 	}
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
-	err = run(ctx, *fig, *benchArg, *full, *workers, *quiet, *csvPath, *report, *timeout, *resume, *batch)
+	err = run(ctx, *fig, *benchArg, *full, *workers, *quiet, *csvPath, *report, *timeout, *resume)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -149,7 +148,7 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 }
 
 func run(ctx context.Context, fig int, benchArg string, full bool, workers int, quiet bool, csvPath, reportPath string,
-	timeout time.Duration, resume string, batch bool) error {
+	timeout time.Duration, resume string) error {
 	var benchmarks []*bench.Benchmark
 	if benchArg == "all" {
 		benchmarks = bench.All()
@@ -198,7 +197,6 @@ func run(ctx context.Context, fig int, benchArg string, full bool, workers int, 
 		Retries:    2,
 		RunTimeout: timeout,
 		Journal:    resume,
-		Batch:      batch,
 	})
 	if res != nil {
 		for _, ce := range res.Failed {

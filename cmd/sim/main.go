@@ -11,7 +11,6 @@
 //	    [-out output.bin] [-stats] [-timeout 30s]
 //	    [-checkpoint run.snap] [-checkpoint-every 1000000] [-restore]
 //	    [-fault-seed 1 -fault-rate 0.001] [-fault-arch]
-//	    [-batch 'base,w4,w64+gshare,consmem']
 //	    [-cpuprofile cpu.out] [-memprofile mem.out]
 //	sim -img prog.img -in0 input.txt -functional
 //	    [-profile prof.json] [-trace prog.trc]
@@ -25,7 +24,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -33,11 +31,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"fgpsim/internal/branch"
+	"fgpsim/internal/chaos"
 	"fgpsim/internal/core"
 	"fgpsim/internal/faultinject"
 	"fgpsim/internal/interp"
@@ -71,7 +68,6 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 0, "timed dynamic mode: fault-injection stream seed")
 		faultRate  = flag.Float64("fault-rate", 0, "timed dynamic mode: per-cycle fault probability (0 disables)")
 		faultArch  = flag.Bool("fault-arch", false, "include unrecoverable architectural-state faults in the injected set")
-		batchSpec  = flag.String("batch", "", "timed dynamic mode: run K engine-variant lanes in one batched pass; comma-separated lane specs of +-joined knobs (w<N>, gshare[<bits>], btb<N>, consmem, base), e.g. 'base,w4,w64+gshare,consmem'")
 		ckptPath   = flag.String("checkpoint", "", "timed mode: park durable engine snapshots at this path")
 		ckptEvery  = flag.Int64("checkpoint-every", 1_000_000, "simulated cycles between checkpoints (with -checkpoint)")
 		restore    = flag.Bool("restore", false, "timed mode: resume from the newest snapshot at -checkpoint before running")
@@ -87,7 +83,7 @@ func main() {
 	err = run(*imgPath, *in0Path, *in1Path, *outPath, *profPath, *tracePath,
 		*useTrace, *hintsFrom, *functional, *showStats, *pipeCycles,
 		*timeout, *faultSeed, *faultRate, *faultArch,
-		ckptOpts{path: *ckptPath, every: *ckptEvery, restore: *restore}, *batchSpec)
+		ckptOpts{path: *ckptPath, every: *ckptEvery, restore: *restore})
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -141,21 +137,9 @@ func readOptional(path string) ([]byte, error) {
 }
 
 func run(imgPath, in0Path, in1Path, outPath, profPath, tracePath, useTrace, hintsFrom string, functional, showStats bool, pipeCycles int64,
-	timeout time.Duration, faultSeed uint64, faultRate float64, faultArch bool, ckpt ckptOpts, batchSpec string) error {
+	timeout time.Duration, faultSeed uint64, faultRate float64, faultArch bool, ckpt ckptOpts) error {
 	if imgPath == "" {
 		return fmt.Errorf("-img is required")
-	}
-	if batchSpec != "" {
-		switch {
-		case functional:
-			return fmt.Errorf("-batch applies to timed runs, not -functional")
-		case ckpt.path != "":
-			return fmt.Errorf("-batch and -checkpoint are mutually exclusive")
-		case faultRate > 0:
-			return fmt.Errorf("-batch and fault injection are mutually exclusive")
-		case pipeCycles > 0:
-			return fmt.Errorf("-batch and -pipe are mutually exclusive")
-		}
 	}
 	if ckpt.path == "" && ckpt.restore {
 		return fmt.Errorf("-restore requires -checkpoint")
@@ -180,13 +164,7 @@ func run(imgPath, in0Path, in1Path, outPath, profPath, tracePath, useTrace, hint
 	}
 
 	var output []byte
-	if batchSpec != "" {
-		out, err := batchRun(img, in0, in1, useTrace, hintsFrom, batchSpec, timeout, showStats)
-		if err != nil {
-			return err
-		}
-		output = out
-	} else if functional {
+	if functional {
 		opts := interp.Options{RecordTrace: tracePath != ""}
 		if profPath != "" {
 			opts.Profile = interp.NewProfile()
@@ -290,7 +268,7 @@ func timedRun(img *loader.Image, in0, in1 []byte, useTrace, hintsFrom string, pi
 	if armed {
 		fp = snapshot.RunFingerprint(img, in0, in1, hints)
 		if ckpt.restore {
-			switch snap, err := snapshot.ReadLatest(ckpt.path); {
+			switch snap, err := snapshot.ReadLatest(chaos.OS{}, ckpt.path); {
 			case err == nil:
 				if snap.Fingerprint != fp {
 					return nil, nil, fmt.Errorf("snapshot %s is from a different run (image, inputs, or hints changed)", ckpt.path)
@@ -321,7 +299,7 @@ func timedRun(img *loader.Image, in0, in1 []byte, useTrace, hintsFrom string, pi
 	}
 	if armed {
 		lim.CheckpointEvery = ckpt.every
-		lim.Checkpoint = snapshot.Saver(ckpt.path, fp, inj)
+		lim.Checkpoint = snapshot.Saver(chaos.OS{}, ckpt.path, fp, inj)
 	}
 	ctx := context.Background()
 	if timeout > 0 {
@@ -335,157 +313,9 @@ func timedRun(img *loader.Image, in0, in1 []byte, useTrace, hintsFrom string, pi
 	}
 	if armed {
 		// A finished run's snapshot must not seed a later -restore.
-		snapshot.Remove(ckpt.path)
+		snapshot.Remove(chaos.OS{}, ckpt.path)
 	}
 	return res, inj, nil
-}
-
-// batchRun executes the -batch path: it derives one engine-level variant of
-// the loaded image per lane spec and runs all lanes through core.RunBatch,
-// one shared fetch/decode pass feeding K private schedulers. Every lane
-// must compute the same program output (the knobs are timing-only), so the
-// lanes cross-check each other before the output is written.
-func batchRun(img *loader.Image, in0, in1 []byte, useTrace, hintsFrom, spec string,
-	timeout time.Duration, showStats bool) ([]byte, error) {
-	if !img.Cfg.Disc.Dynamic() {
-		return nil, fmt.Errorf("-batch needs a dynamically scheduled image, got %s", img.Cfg.Disc)
-	}
-	if img.Cfg.Branch == machine.FillUnit {
-		return nil, fmt.Errorf("-batch cannot run fill-unit images (their program mutates at run time)")
-	}
-	var trace []ir.BlockID
-	if useTrace != "" {
-		data, err := os.ReadFile(useTrace)
-		if err != nil {
-			return nil, err
-		}
-		if trace, err = interp.UnmarshalTrace(data); err != nil {
-			return nil, err
-		}
-	}
-	if img.Cfg.Branch == machine.Perfect && trace == nil {
-		return nil, fmt.Errorf("-batch with a perfect-prediction image needs -usetrace")
-	}
-	hints, err := decodeHints(hintsFrom)
-	if err != nil {
-		return nil, err
-	}
-
-	specs := strings.Split(spec, ",")
-	lanes := make([]core.BatchLane, len(specs))
-	for i, s := range specs {
-		cfg, err := applyLaneSpec(img.Cfg, strings.TrimSpace(s))
-		if err != nil {
-			return nil, fmt.Errorf("-batch lane %d %q: %w", i, s, err)
-		}
-		// The knobs are engine-level: the translated image is config-
-		// independent for dynamic disciplines, so the lanes share its
-		// program and differ only in the Cfg the engine reads.
-		im := *img
-		im.Cfg = cfg
-		lanes[i] = core.BatchLane{Img: &im}
-	}
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	results, errs, err := core.RunBatchContext(ctx, lanes, in0, in1, trace, hints)
-	if err != nil {
-		return nil, err
-	}
-	var output []byte
-	failed := 0
-	for i, res := range results {
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "lane %d [%s]: %v\n", i, specs[i], errs[i])
-			failed++
-			continue
-		}
-		if output == nil {
-			output = res.Output
-		} else if !bytes.Equal(output, res.Output) {
-			return nil, fmt.Errorf("lane %d [%s] computed a different program output", i, specs[i])
-		}
-		if showStats {
-			fmt.Fprintf(os.Stderr, "lane %d [%s] configuration: %s\n%s",
-				i, specs[i], lanes[i].Img.Cfg, res.Stats)
-		}
-	}
-	if failed == len(results) {
-		return nil, fmt.Errorf("all %d batch lanes failed", failed)
-	}
-	if failed > 0 {
-		return nil, fmt.Errorf("%d of %d batch lanes failed", failed, len(results))
-	}
-	return output, nil
-}
-
-// applyLaneSpec derives one lane's configuration from the image's by
-// applying a +-joined list of engine-level knobs: w<N> (window override),
-// gshare[<bits>] / 2bit (direction predictor), btb<N> (BTB entries),
-// consmem (conservative memory), mem<A-G> (memory configuration),
-// issue<1-8> (issue model), and base (the image's configuration verbatim).
-func applyLaneSpec(base machine.Config, spec string) (machine.Config, error) {
-	cfg := base
-	if spec == "" {
-		return cfg, fmt.Errorf("empty lane spec")
-	}
-	for _, knob := range strings.Split(spec, "+") {
-		switch {
-		case knob == "base":
-			// The image's configuration, unchanged.
-		case knob == "consmem":
-			cfg.ConservativeMem = true
-		case knob == "2bit":
-			cfg.Predictor = machine.TwoBit
-		case knob == "gshare":
-			cfg.Predictor = machine.GSharePredictor
-		case strings.HasPrefix(knob, "gshare"):
-			bits, err := strconv.Atoi(knob[len("gshare"):])
-			if err != nil || bits < 1 || bits > 24 {
-				return cfg, fmt.Errorf("bad gshare table bits in %q", knob)
-			}
-			cfg.Predictor = machine.GSharePredictor
-			cfg.GShareBits = bits
-		case strings.HasPrefix(knob, "btb"):
-			n, err := strconv.Atoi(knob[len("btb"):])
-			if err != nil || n < 1 {
-				return cfg, fmt.Errorf("bad BTB size in %q", knob)
-			}
-			cfg.BTBEntries = n
-		case strings.HasPrefix(knob, "mem"):
-			if len(knob) != len("mem")+1 {
-				return cfg, fmt.Errorf("bad memory configuration in %q", knob)
-			}
-			mc, ok := machine.MemConfigByID(knob[len("mem")])
-			if !ok {
-				return cfg, fmt.Errorf("unknown memory configuration %q", knob)
-			}
-			cfg.Mem = mc
-		case strings.HasPrefix(knob, "issue"):
-			id, err := strconv.Atoi(knob[len("issue"):])
-			if err != nil {
-				return cfg, fmt.Errorf("bad issue model in %q", knob)
-			}
-			im, ok := machine.IssueModelByID(id)
-			if !ok {
-				return cfg, fmt.Errorf("unknown issue model %q", knob)
-			}
-			cfg.Issue = im
-		case strings.HasPrefix(knob, "w"):
-			n, err := strconv.Atoi(knob[1:])
-			if err != nil || n < 1 {
-				return cfg, fmt.Errorf("bad window override in %q", knob)
-			}
-			cfg.WindowOverride = n
-		default:
-			return cfg, fmt.Errorf("unknown knob %q", knob)
-		}
-	}
-	return cfg, nil
 }
 
 func decodeHints(path string) (map[ir.BlockID]bool, error) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"fgpsim/internal/chaos"
 	"fgpsim/internal/core"
 	"fgpsim/internal/enlarge"
 	"fgpsim/internal/faultinject"
@@ -127,7 +128,7 @@ func TestCorruptEnlargementDegradesEndToEnd(t *testing.T) {
 		stderrCh <- buf.String()
 	}()
 
-	runErr := run(imgPath, in0Path, "", outPath, "", "", "", "", false, true, 0, 0, 0, 0, false, ckptOpts{}, "")
+	runErr := run(imgPath, in0Path, "", outPath, "", "", "", "", false, true, 0, 0, 0, 0, false, ckptOpts{})
 
 	pw.Close()
 	os.Stderr = oldStderr
@@ -188,13 +189,13 @@ func TestCheckpointRestoreCLI(t *testing.T) {
 	runSim := func(ck ckptOpts) error {
 		return run(imgPath, in0Path, "", outPath, "", "", "", "", false, false, 0, 0, 0, 0, false, ckptOpts{
 			path: ck.path, every: ck.every, restore: ck.restore,
-		}, "")
+		})
 	}
 
 	// Life 1: interrupt an armed run mid-flight by capping its cycles below
 	// the full runtime, leaving a parked snapshot behind.
 	fp := snapshot.RunFingerprint(img, input, nil, nil)
-	lim := core.Limits{CheckpointEvery: 500, MaxCycles: 2000, Checkpoint: snapshot.Saver(snapPath, fp, nil)}
+	lim := core.Limits{CheckpointEvery: 500, MaxCycles: 2000, Checkpoint: snapshot.Saver(chaos.OS{}, snapPath, fp, nil)}
 	if _, err := core.RunContext(context.Background(), img, input, nil, nil, nil, lim); err == nil {
 		t.Fatal("capped run finished; raise the program size or lower MaxCycles")
 	}
@@ -225,7 +226,7 @@ func TestCheckpointRestoreCLI(t *testing.T) {
 
 	// A snapshot from a different run (wrong fingerprint) is refused.
 	wrong := &snapshot.Snapshot{Fingerprint: fp ^ 0xdead, Engine: &core.EngineState{Stats: &stats.Run{}}}
-	if err := snapshot.WriteFile(snapPath, wrong); err != nil {
+	if err := snapshot.WriteFile(chaos.OS{}, snapPath, wrong); err != nil {
 		t.Fatal(err)
 	}
 	err = runSim(ckptOpts{path: snapPath, every: 500, restore: true})
@@ -235,11 +236,11 @@ func TestCheckpointRestoreCLI(t *testing.T) {
 
 	// Flag contract checks.
 	if err := run(imgPath, in0Path, "", outPath, "", "", "", "", false, false, 0, 0, 0, 0, false,
-		ckptOpts{restore: true}, ""); err == nil || !strings.Contains(err.Error(), "-restore requires -checkpoint") {
+		ckptOpts{restore: true}); err == nil || !strings.Contains(err.Error(), "-restore requires -checkpoint") {
 		t.Errorf("-restore without -checkpoint: err = %v", err)
 	}
 	if err := run(imgPath, in0Path, "", outPath, "", "", "", "", false, false, 0, 0, 0, 0, false,
-		ckptOpts{path: snapPath, every: -1}, ""); err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+		ckptOpts{path: snapPath, every: -1}); err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
 		t.Errorf("negative cadence: err = %v", err)
 	}
 }

@@ -50,39 +50,3 @@ func TestEngineAllocRegression(t *testing.T) {
 		})
 	}
 }
-
-// TestBatchedAllocRegression extends the steady-state bound to the batched
-// path: a K-lane core.RunBatch allocates K engines' worth of slabs up
-// front, and its checkpoint-off hot loop must stay as allocation-free as
-// the scalar engine's, so the per-cycle amortized rate obeys the same
-// bound.
-func TestBatchedAllocRegression(t *testing.T) {
-	w := workload(t)
-	lanes := batchLanePool()[:4]
-	run := func() int64 {
-		stats, errs, err := w.RunBatch(lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cycles int64
-		for i, s := range stats {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			cycles += s.Cycles
-		}
-		return cycles
-	}
-	cycles := run() // warm the shared image cache
-	if cycles == 0 {
-		t.Fatal("batch reported zero cycles")
-	}
-	avg := testing.AllocsPerRun(2, func() { run() })
-	perCycle := avg / float64(cycles)
-	const bound = 1.0
-	t.Logf("Batched4: %.0f allocs over %d cycles = %.4f allocs/cycle (bound %.2f)", avg, cycles, perCycle, bound)
-	if perCycle > bound {
-		t.Errorf("batched run allocates %.4f objects per simulated cycle, above the %.2f regression bound",
-			perCycle, bound)
-	}
-}

@@ -74,26 +74,6 @@ type engineBenchRecord struct {
 	AllocDropX     float64 `json:"alloc_drop_vs_seed,omitempty"`
 }
 
-// batchBenchRecord is one measured K-lane batched sweep in
-// BENCH_engine.json. SpeedupVsSeq compares the batch against K sequential
-// scalar runs of the *current* engine on the same host; SpeedupVsSeed
-// against the pre-SoA pointer-linked engine's sequential wall clock
-// (batchSeqScalarSeedNs) — the acceptance figure "batched K-lane sweep
-// versus K sequential scalar runs".
-type batchBenchRecord struct {
-	Lanes          int     `json:"lanes"`
-	NsPerOp        int64   `json:"ns_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	SimCycles      int64   `json:"sim_cycles"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	MCyclesPerSec  float64 `json:"sim_mcycles_per_sec"`
-	SeqNsPerOp     int64   `json:"sequential_ns_per_op"`
-	SeedSeqNsOp    int64   `json:"seed_sequential_ns_per_op"`
-	SpeedupVsSeq   float64 `json:"speedup_vs_sequential"`
-	SpeedupVsSeed  float64 `json:"speedup_vs_seed_sequential"`
-}
-
 // seedBaseline is one pre-pooling measurement (commit 479350e, same
 // benchmarks, same host class) that the emitted report computes its
 // speedup and allocation-drop ratios against.
@@ -131,7 +111,6 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 		GOARCH    string                       `json:"goarch"`
 		Benchmark string                       `json:"benchmark"`
 		Engines   map[string]engineBenchRecord `json:"engines"`
-		Batched   map[string]batchBenchRecord  `json:"batched"`
 		Seed      map[string]seedBaseline      `json:"seed_baseline"`
 		Figure3   struct {
 			NsPerOp     int64   `json:"ns_per_op"`
@@ -143,7 +122,6 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 		GOARCH:    runtime.GOARCH,
 		Benchmark: "sort",
 		Engines:   make(map[string]engineBenchRecord),
-		Batched:   make(map[string]batchBenchRecord),
 		Seed:      engineSeedBaselines,
 	}
 	for _, ec := range engineConfigs {
@@ -183,38 +161,6 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 		out.Engines[ec.Name] = rec
 		fmt.Printf("%-16s %12d ns/op %10d allocs/op  %.4f allocs/cycle\n",
 			ec.Name, r.NsPerOp(), r.AllocsPerOp(), rec.AllocsPerCycle)
-	}
-	// The batched sweeps: each K-lane batch compared against the SoA
-	// engine's K sequential scalar runs (measured here) and against the
-	// pre-SoA pointer-linked engine's sequential wall clock (the checked-in
-	// batchSeqScalarSeedNs constants).
-	for _, k := range batchKs {
-		k := k
-		seq := testing.Benchmark(func(b *testing.B) { benchEngineSequential(b, k) })
-		bat := testing.Benchmark(func(b *testing.B) { benchEngineBatched(b, k) })
-		cycles := int64(bat.Extra["sim-cycles"])
-		rec := batchBenchRecord{
-			Lanes:        k,
-			NsPerOp:      bat.NsPerOp(),
-			AllocsPerOp:  bat.AllocsPerOp(),
-			BytesPerOp:   bat.AllocedBytesPerOp(),
-			SimCycles:    cycles,
-			SeqNsPerOp:   seq.NsPerOp(),
-			SeedSeqNsOp:  batchSeqScalarSeedNs[k],
-			SpeedupVsSeq: float64(seq.NsPerOp()) / float64(bat.NsPerOp()),
-		}
-		if cycles > 0 {
-			rec.AllocsPerCycle = float64(bat.AllocsPerOp()) / float64(cycles)
-		}
-		if bat.NsPerOp() > 0 {
-			rec.MCyclesPerSec = float64(cycles) * 1e3 / float64(bat.NsPerOp())
-		}
-		if sb := batchSeqScalarSeedNs[k]; sb > 0 {
-			rec.SpeedupVsSeed = float64(sb) / float64(bat.NsPerOp())
-		}
-		out.Batched[fmt.Sprintf("Batched%d", k)] = rec
-		fmt.Printf("Batched%-2d        %12d ns/op %10d allocs/op  %.4f allocs/cycle  %6.1f Mcyc/s  %.2fx vs seq, %.2fx vs seed\n",
-			k, bat.NsPerOp(), bat.AllocsPerOp(), rec.AllocsPerCycle, rec.MCyclesPerSec, rec.SpeedupVsSeq, rec.SpeedupVsSeed)
 	}
 	// The acceptance criterion's wall-clock figure: the Figure 3 sweep.
 	f3 := testing.Benchmark(BenchmarkFigure3)

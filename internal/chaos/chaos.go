@@ -43,7 +43,8 @@ const (
 	WriteNoSpace
 	// SyncFail fails fsync: the data's durability is unknown, and the
 	// writer must not report anything accepted since the last good sync as
-	// durable (exp.Journal poisons itself on this).
+	// durable (exp.Journal reopens and re-appends once, then poisons
+	// itself on a second failure).
 	SyncFail
 	// RenameCut fails a rename with the target untouched — the visible
 	// half of a power cut between prepare and publish.

@@ -693,7 +693,7 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 	}
 	// Invariant 6: the on-disk journal re-merges to the served results.
 	jpath := filepath.Join(coordCfg.JournalDir, "sweep-"+id+".cells")
-	merged, jerr := exp.ReadJournal(jpath)
+	merged, jerr := exp.ReadJournal(chaos.OS{}, jpath)
 	if jerr != nil {
 		rep.Violation = "journal-mismatch"
 		rep.Detail = fmt.Sprintf("cell journal unreadable: %v", jerr)

@@ -6,16 +6,8 @@ import "fgpsim/internal/ir"
 // issue-relevant classification per node of each basic block, computed the
 // first time a block is fetched and memoized for the rest of the run. The
 // issue stage reads these bytes instead of re-deriving opcode classes on
-// every fetch of a hot block — and in batched multi-config runs
-// (batch.go) all K lanes of one program image share a single table, so the
-// fetch/decode classification pass is paid once per block for the whole
-// batch rather than once per lane.
-//
-// The table is safe to share between engines that step in one goroutine
-// (batch lanes are round-robin interleaved, never concurrent). Fill-unit
-// images materialize new blocks at run time; of() grows the table lazily,
-// which is also why fill-unit lanes never share one (their programs
-// diverge).
+// every fetch of a hot block. Each engine owns its table. Fill-unit images
+// materialize new blocks at run time, so of() grows the table lazily.
 type decTable struct {
 	blocks [][]uint8 // indexed by BlockID; len(Body)+1 entries, terminator last
 }

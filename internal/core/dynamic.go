@@ -47,11 +47,11 @@ type dynamicEngine struct {
 
 	active abRing // active blocks, oldest first
 
-	// Structure-of-arrays stores (soa.go) and the shared decode table.
+	// Structure-of-arrays stores (soa.go) and the decode cache (dec.go).
 	nodes  nodeStore
 	blocks blockStore
 	rspool rsPool
-	dec    *decTable
+	dec    decTable
 
 	// Issue state.
 	rename      [ir.NumRegs]renEntry
@@ -149,7 +149,6 @@ func newDynamicEngine(img *loader.Image, in0, in1 []byte, trace []ir.BlockID, li
 		itotal:     cfg.Issue.Total(),
 		trace:      trace,
 		wb:         make(map[int64][]nref),
-		dec:        &decTable{},
 		issueBlock: nilRef,
 	}
 	e.nodes.edges = newEdgeArena()
@@ -176,27 +175,13 @@ func (e *dynamicEngine) SetHints(hints map[ir.BlockID]bool) {
 	if e.pred == nil {
 		return
 	}
-	e.SetMappedHints(mapHints(e.img, hints))
-}
-
-// mapHints translates hint keys from original block IDs to the image's
-// block IDs. Batched runs compute this once per shared image (batch.go).
-func mapHints(img *loader.Image, hints map[ir.BlockID]bool) map[ir.BlockID]bool {
 	mapped := make(map[ir.BlockID]bool, len(hints))
-	for _, b := range img.Prog.Blocks {
+	for _, b := range e.img.Prog.Blocks {
 		if b.Term.Op == ir.Br {
-			if h, ok := hints[img.TermOrigOf(b.ID)]; ok {
+			if h, ok := hints[e.img.TermOrigOf(b.ID)]; ok {
 				mapped[b.ID] = h
 			}
 		}
-	}
-	return mapped
-}
-
-// SetMappedHints installs hints already keyed by image block IDs.
-func (e *dynamicEngine) SetMappedHints(mapped map[ir.BlockID]bool) {
-	if e.pred == nil {
-		return
 	}
 	e.pred = e.newPredictor(mapped)
 }
@@ -227,18 +212,14 @@ func (e *dynamicEngine) seqFloor() int64 {
 	return e.blocks.seq0[e.active.front()]
 }
 
-// stepCycles advances the engine by at most budget cycles, returning
-// whether the program finished. It is the per-cycle loop run() iterates
-// and the granularity batched runs interleave lanes at (batch.go).
-func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
+func (e *dynamicEngine) run() (*RunResult, error) {
 	maxCycles := e.lim.maxCycles()
-	for budget > 0 && !e.finished {
-		budget--
+	for !e.finished {
 		if e.runErr != nil {
-			return false, e.runErr
+			return nil, e.runErr
 		}
 		if e.cycle > maxCycles {
-			return false, &CycleLimitError{e.cycle}
+			return nil, &CycleLimitError{e.cycle}
 		}
 		if e.cycle&(ctxCheckPeriod-1) == 0 {
 			if e.lim.Heartbeat != nil {
@@ -246,7 +227,7 @@ func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
 			}
 			if e.ctx != nil {
 				if cerr := e.ctx.Err(); cerr != nil {
-					return false, &CanceledError{Cycle: e.cycle, Err: cerr}
+					return nil, &CanceledError{Cycle: e.cycle, Err: cerr}
 				}
 			}
 			if e.lim.Preempt != nil && e.lim.Preempt.Load() {
@@ -270,7 +251,7 @@ func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
 		e.completions()
 		e.retire()
 		if e.runErr != nil {
-			return false, e.runErr
+			return nil, e.runErr
 		}
 		if e.finished {
 			break
@@ -283,7 +264,7 @@ func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
 		// injection stream.
 		if e.draining && e.active.len() == 0 && !e.issueStall {
 			if err := e.checkpointNow(); err != nil {
-				return false, err
+				return nil, err
 			}
 		}
 		// The fault hook fires at the engine's consistent point: retirement
@@ -291,7 +272,7 @@ func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
 		if e.lim.Fault != nil {
 			e.lim.Fault(e)
 			if e.runErr != nil {
-				return false, e.runErr
+				return nil, e.runErr
 			}
 		}
 		// Issue before schedule: a node issued this cycle whose operands
@@ -305,29 +286,12 @@ func (e *dynamicEngine) stepCycles(budget int64) (bool, error) {
 		e.st.WindowNodeSum += e.liveNodes
 		e.cycle++
 	}
-	return e.finished, nil
-}
-
-// result finalizes the statistics once the program has halted.
-func (e *dynamicEngine) result() *RunResult {
 	e.st.Cycles = e.cycle
 	if e.ms.Cache != nil {
 		e.st.CacheHits = e.ms.Cache.Hits
 		e.st.CacheMisses = e.ms.Cache.Misses
 	}
-	return &RunResult{Output: e.env.out, Stats: e.st}
-}
-
-func (e *dynamicEngine) run() (*RunResult, error) {
-	for {
-		done, err := e.stepCycles(1 << 62)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return e.result(), nil
-		}
-	}
+	return &RunResult{Output: e.env.out, Stats: e.st}, nil
 }
 
 // ---------- completion ----------

@@ -122,57 +122,6 @@ func (p *Prepared) ResolveImage(cfg machine.Config) (*loader.Image, int64, error
 	return img, 1, nil
 }
 
-// RunBatch simulates several engine-level variants of one translated image
-// in a single batched pass (core.RunBatch): the lanes share the image, the
-// decoded-metadata table, the recorded trace, and the mapped branch hints,
-// and every lane's result is bit-identical to running its configuration
-// through Run. All configurations must be dynamically scheduled, non-fill-
-// unit, and share one image-cache key (imgKeyOf) — for dynamic machines
-// that means the same block mode, since window, predictor, and memory
-// knobs are engine-level. Verification against the reference output runs
-// per lane, exactly as in scalar runs.
-//
-// Returns one stats and one error slot per configuration; the top-level
-// error reports batch-level misuse (mixed image keys, a non-batchable
-// configuration, an unresolvable image).
-func (p *Prepared) RunBatch(cfgs []machine.Config) ([]*stats.Run, []error, error) {
-	return p.RunBatchContext(context.Background(), cfgs, core.Limits{})
-}
-
-// RunBatchContext is RunBatch with cancellation and per-lane limits (the
-// same Limits value is applied to every lane).
-func (p *Prepared) RunBatchContext(ctx context.Context, cfgs []machine.Config, lim core.Limits) ([]*stats.Run, []error, error) {
-	lanes := make([]core.BatchLane, len(cfgs))
-	deg := make([]int64, len(cfgs))
-	for i, cfg := range cfgs {
-		img, d, err := p.ResolveImage(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		lanes[i] = core.BatchLane{Img: img, Lim: lim}
-		deg[i] = d
-	}
-	res, errs, err := core.RunBatchContext(ctx, lanes, p.In0, p.In1, p.Trace, p.Hints)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: %s batch: %w", p.Bench.Name, err)
-	}
-	out := make([]*stats.Run, len(cfgs))
-	for i, cfg := range cfgs {
-		if errs[i] != nil {
-			errs[i] = fmt.Errorf("exp: %s %s: %w", p.Bench.Name, cfg, errs[i])
-			continue
-		}
-		if !bytes.Equal(res[i].Output, p.RefOutput) {
-			errs[i] = fmt.Errorf("exp: %s %s: simulated output differs from reference", p.Bench.Name, cfg)
-			continue
-		}
-		res[i].Stats.Work = p.RefNodes
-		res[i].Stats.EFDegradations = deg[i]
-		out[i] = res[i].Stats
-	}
-	return out, errs, nil
-}
-
 // runImage simulates a resolved image and verifies its output.
 func (p *Prepared) runImage(ctx context.Context, img *loader.Image, cfg machine.Config, degradations int64, lim core.Limits) (*stats.Run, error) {
 	res, err := core.RunContext(ctx, img, p.In0, p.In1, p.Trace, p.Hints, lim)

@@ -102,17 +102,6 @@ type GridOptions struct {
 	// operation of this sweep goes through (nil = the real one). The chaos
 	// harness substitutes a fault-injecting chaos.FS here.
 	Disk chaos.Disk
-	// Batch groups dynamically scheduled cells that share an image-cache key
-	// (same benchmark, same block mode) into K-lane batched runs
-	// (core.RunBatch): one shared fetch/decode/translate pass serves every
-	// window/predictor/memory variant of that image. Results are
-	// bit-identical to scalar runs. Cells that cannot batch — static
-	// machines, fill-unit images, singleton groups — and any lane whose
-	// batch fails run through the unchanged scalar path with its full retry
-	// and quarantine semantics. Sweeps with durable checkpoints armed
-	// (CheckpointEvery + SnapshotDir) run scalar: per-cell snapshot files do
-	// not compose with shared-pass execution.
-	Batch bool
 }
 
 // CellOutcome is one settled grid cell, as reported to GridOptions.Observer.
@@ -174,11 +163,11 @@ func GridContext(ctx context.Context, prepared []*Prepared, cfgs []machine.Confi
 	var jw *Journal
 	if opts.Journal != "" {
 		spec := SpecHash(prepared, cfgs)
-		specFound, err := CheckJournalSpecOn(disk, opts.Journal, spec)
+		specFound, err := CheckJournalSpec(disk, opts.Journal, spec)
 		if err != nil {
 			return res, err // *StaleJournalError, or the file is unreadable
 		}
-		prior, err := ReadJournalOn(disk, opts.Journal)
+		prior, err := ReadJournal(disk, opts.Journal)
 		if err != nil {
 			return res, fmt.Errorf("exp: journal %s: %w", opts.Journal, err)
 		}
@@ -196,7 +185,7 @@ func GridContext(ctx context.Context, prepared []*Prepared, cfgs []machine.Confi
 			}
 			pending = append(pending, j)
 		}
-		jw, err = OpenJournalOn(disk, opts.Journal)
+		jw, err = OpenJournal(disk, opts.Journal)
 		if err != nil {
 			return res, fmt.Errorf("exp: journal %s: %w", opts.Journal, err)
 		}
@@ -206,97 +195,6 @@ func GridContext(ctx context.Context, prepared []*Prepared, cfgs []machine.Confi
 				return res, fmt.Errorf("exp: journal %s: %w", opts.Journal, err)
 			}
 		}
-	}
-
-	// Batched pre-pass: run groups of same-image dynamic cells through
-	// core.RunBatch, settling the lanes that succeed; everything else (and
-	// any lane whose batch failed) falls through to the scalar machinery
-	// below, which retains the full retry/quarantine/snapshot semantics.
-	if opts.Batch && opts.CheckpointEvery == 0 {
-		type batchKey struct {
-			p   *Prepared
-			img imgKey
-		}
-		groups := make(map[batchKey][]job)
-		var order []batchKey
-		var scalar []job
-		for _, j := range pending {
-			if j.cfg.Disc == machine.Static || j.cfg.Branch == machine.FillUnit {
-				scalar = append(scalar, j)
-				continue
-			}
-			bk := batchKey{p: j.p, img: imgKeyOf(j.cfg)}
-			if len(groups[bk]) == 0 {
-				order = append(order, bk)
-			}
-			groups[bk] = append(groups[bk], j)
-		}
-		var batches [][]job
-		for _, bk := range order {
-			g := groups[bk]
-			if len(g) < 2 {
-				scalar = append(scalar, g...) // a 1-lane batch shares nothing
-				continue
-			}
-			batches = append(batches, g)
-		}
-		var (
-			bwg      sync.WaitGroup
-			scalarMu sync.Mutex
-		)
-		bch := make(chan []job)
-		for w := 0; w < workers; w++ {
-			bwg.Add(1)
-			go func() {
-				defer bwg.Done()
-				for g := range bch {
-					start := time.Now()
-					bctx := ctx
-					if opts.RunTimeout > 0 {
-						var cancel context.CancelFunc
-						bctx, cancel = context.WithTimeout(ctx, opts.RunTimeout)
-						defer cancel()
-					}
-					lim := opts.Limits
-					lim.Preempt = opts.Preempt
-					cfgs := make([]machine.Config, len(g))
-					for i, j := range g {
-						cfgs[i] = j.cfg
-					}
-					stats, laneErrs, berr := g[0].p.RunBatchContext(bctx, cfgs, lim)
-					dur := time.Since(start)
-					for i, j := range g {
-						if berr != nil || laneErrs[i] != nil || stats[i] == nil {
-							scalarMu.Lock()
-							scalar = append(scalar, j)
-							scalarMu.Unlock()
-							continue
-						}
-						res.put(j.key, stats[i])
-						if jw != nil {
-							jw.appendResult(journalEntry{Key: j.key, Stats: stats[i]})
-						}
-						if opts.Observer != nil {
-							opts.Observer(CellOutcome{Key: j.key, Attempts: 1, Duration: dur, Stats: stats[i]})
-						}
-						if opts.Progress != nil {
-							opts.Progress(int(done.Add(1)), total)
-						}
-					}
-				}
-			}()
-		}
-	batchDispatch:
-		for _, g := range batches {
-			select {
-			case bch <- g:
-			case <-ctx.Done():
-				break batchDispatch
-			}
-		}
-		close(bch)
-		bwg.Wait()
-		pending = scalar
 	}
 
 	var (
@@ -457,11 +355,11 @@ func runCellOnce(ctx context.Context, p *Prepared, cfg machine.Config, key Key, 
 		}
 		fp := snapshot.RunFingerprint(img, p.In0, p.In1, p.Hints)
 		snapPath := CellSnapshotPath(opts.SnapshotDir, key)
-		if prior, rerr := snapshot.ReadLatestOn(disk, snapPath); rerr == nil && prior.Fingerprint == fp && prior.Engine != nil {
+		if prior, rerr := snapshot.ReadLatest(disk, snapPath); rerr == nil && prior.Fingerprint == fp && prior.Engine != nil {
 			lim.Resume = prior.Engine // stale fingerprints fall through to a fresh run
 		}
 		lim.CheckpointEvery = opts.CheckpointEvery
-		save := snapshot.SaverOn(disk, snapPath, fp, nil)
+		save := snapshot.Saver(disk, snapPath, fp, nil)
 		// Checkpoint persistence is best-effort by design: a snapshot is an
 		// optimization (resume progress), and a full disk or failed fsync
 		// under it must cost at most that progress — never the run. core
@@ -484,7 +382,7 @@ func runCellOnce(ctx context.Context, p *Prepared, cfg machine.Config, key Key, 
 			// rather than failing the cell on every retry.
 			var re *core.ResumeError
 			if errors.As(err, &re) {
-				snapshot.RemoveOn(disk, snapPath)
+				snapshot.Remove(disk, snapPath)
 				lim.Resume = nil
 				s, err = p.runImage(ctx, img, cfg, deg, lim)
 			}
@@ -495,14 +393,14 @@ func runCellOnce(ctx context.Context, p *Prepared, cfg machine.Config, key Key, 
 				// Best effort: if the park fails the progress is lost, but the
 				// requeued cell still runs correctly from scratch.
 				parked := &snapshot.Snapshot{Fingerprint: fp, Engine: pe.State}
-				if werr := snapshot.WriteFileOn(disk, snapPath, parked); werr == nil && opts.SnapshotSink != nil {
+				if werr := snapshot.WriteFile(disk, snapPath, parked); werr == nil && opts.SnapshotSink != nil {
 					opts.SnapshotSink(key, snapshot.Encode(parked))
 				}
 			}
 			return nil, false, true, nil
 		}
 		if err == nil {
-			snapshot.RemoveOn(disk, snapPath)
+			snapshot.Remove(disk, snapPath)
 		}
 		return s, false, false, err
 	}

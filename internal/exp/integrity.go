@@ -148,7 +148,7 @@ func verifyCellLine(path string, line []byte, final bool) (*journalEntry, *Integ
 	return &e, nil
 }
 
-// MergeJournalRecordsVerifiedOn is MergeJournalRecordsOn under the strict
+// MergeJournalRecordsVerified is MergeJournalRecords under the strict
 // digest policy: every cell record must carry a matching content digest.
 // Records that fail verification are rejected — reported through onErr
 // (which may be nil) and excluded from the merge, so the affected cells
@@ -157,10 +157,10 @@ func verifyCellLine(path string, line []byte, final bool) (*journalEntry, *Integ
 // tail and is tolerated silently.
 //
 // This is the fabric coordinator's recovery path. The tolerant merge
-// (MergeJournalRecordsOn) remains for single-writer resume journals,
+// (MergeJournalRecords) remains for single-writer resume journals,
 // which predate digests; even there, replayCells rejects a record whose
 // digest is present but wrong.
-func MergeJournalRecordsVerifiedOn(disk chaos.Disk, onErr func(*IntegrityError), paths ...string) (map[Key]CellRecord, error) {
+func MergeJournalRecordsVerified(disk chaos.Disk, onErr func(*IntegrityError), paths ...string) (map[Key]CellRecord, error) {
 	winners := make(map[Key]cellWinner)
 	for _, path := range paths {
 		if err := verifyCells(disk, path, winners, onErr); err != nil {
@@ -216,14 +216,14 @@ func verifyCells(disk chaos.Disk, path string, m map[Key]cellWinner, onErr func(
 	return nil
 }
 
-// ScrubJournalOn re-walks one cell journal under the strict digest policy
+// ScrubJournal re-walks one cell journal under the strict digest policy
 // and reports every record that fails verification, without mutating
 // anything — journals are append-only and shared with live writers, and a
 // corrupt record is already harmless (the verified merge rejects it), so
 // the scrubber's job here is detection, not repair. total counts the
 // verified cell records. The read goes through disk.ReadFile so seeded
 // bitrot faults (chaos.BitrotRead) reach it.
-func ScrubJournalOn(disk chaos.Disk, path string) (total int, bad []*IntegrityError, err error) {
+func ScrubJournal(disk chaos.Disk, path string) (total int, bad []*IntegrityError, err error) {
 	data, err := disk.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil, nil

@@ -30,7 +30,7 @@ func TestDigestStatsDeterministic(t *testing.T) {
 // merge intact. No byte of a record may be outside the digest's reach.
 func TestJournalSingleByteCorruptionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestJournalSingleByteCorruptionRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		var errs []*IntegrityError
-		m, err := MergeJournalRecordsVerifiedOn(chaos.OS{}, func(ie *IntegrityError) { errs = append(errs, ie) }, path)
+		m, err := MergeJournalRecordsVerified(chaos.OS{}, func(ie *IntegrityError) { errs = append(errs, ie) }, path)
 		if err != nil {
 			t.Fatalf("offset %d: merge failed outright: %v", off, err)
 		}
@@ -80,7 +80,7 @@ func TestJournalSingleByteCorruptionRejected(t *testing.T) {
 // detection with counts, never mutation.
 func TestScrubJournalDetectsCorruptRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestScrubJournalDetectsCorruptRecord(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	total, bad, err := ScrubJournalOn(chaos.OS{}, path)
+	total, bad, err := ScrubJournal(chaos.OS{}, path)
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("clean journal: total %d, bad %v, err %v", total, bad, err)
 	}
@@ -106,7 +106,7 @@ func TestScrubJournalDetectsCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, bad, err = ScrubJournalOn(chaos.OS{}, path)
+	_, bad, err = ScrubJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,23 +32,26 @@ import (
 // Journal is an append-only, fsync'd JSON-lines file.
 type Journal struct {
 	mu   sync.Mutex
+	disk chaos.Disk
 	f    chaos.File
 	path string
 	// torn is set when a write failed after possibly landing a prefix with
 	// no trailing newline. Without the guard, the next successful append
 	// would glue its JSON onto that fragment and BOTH lines would fail to
 	// decode on replay — a durably-acknowledged entry silently lost.
-	torn bool
-	// poisoned is set on the first failed fsync and never cleared: once an
-	// fsync fails, the kernel may have dropped the dirty pages and a later
-	// successful fsync proves nothing about them (the PostgreSQL fsync-gate
-	// lesson). Every subsequent Append fails with it; the only recovery is
-	// reopening the journal and re-appending from state known durable.
+	torn   bool
+	closed bool
+	// poisoned is set when a failed fsync could not be repaired, and never
+	// cleared: once an fsync fails, the kernel may have dropped the dirty
+	// pages and a later successful fsync on the same descriptor proves
+	// nothing about them (the PostgreSQL fsync-gate lesson). Append repairs
+	// a failed fsync once through a fresh descriptor; if that fails too,
+	// every later Append fails with this error.
 	poisoned *PoisonedJournalError
 }
 
-// PoisonedJournalError reports a journal that failed an fsync: nothing
-// appended since the last successful sync is known durable, and the Journal
+// PoisonedJournalError reports a journal whose failed fsync could not be
+// repaired: the entry being appended is not known durable, and the Journal
 // refuses further appends so no caller can mistake a post-failure entry for
 // a durable one.
 type PoisonedJournalError struct {
@@ -70,20 +73,24 @@ var fsyncFailures atomic.Int64
 // failures.
 func JournalFsyncFailures() int64 { return fsyncFailures.Load() }
 
-// OpenJournal opens (creating if needed) a journal for appending.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalOn(chaos.OS{}, path)
-}
-
-// OpenJournalOn is OpenJournal on an explicit disk, the seam the chaos
-// harness injects filesystem faults through.
-func OpenJournalOn(disk chaos.Disk, path string) (*Journal, error) {
-	torn := tailIsTorn(disk, path)
-	f, err := disk.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenJournal opens (creating if needed) a journal for appending. Every
+// persistence function takes the disk it works on first: chaos.OS{} is the
+// real filesystem, and the chaos harness passes a fault-injecting chaos.FS.
+// The journal keeps its disk for the fsync repair in Append.
+func OpenJournal(disk chaos.Disk, path string) (*Journal, error) {
+	f, torn, err := openAppend(disk, path)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, path: path, torn: torn}, nil
+	return &Journal{disk: disk, f: f, path: path, torn: torn}, nil
+}
+
+// openAppend opens path for appending and reports whether its existing
+// tail is torn.
+func openAppend(disk chaos.Disk, path string) (chaos.File, bool, error) {
+	torn := tailIsTorn(disk, path)
+	f, err := disk.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return f, torn, err
 }
 
 // tailIsTorn reports whether an existing journal ends mid-line — the
@@ -114,9 +121,18 @@ func tailIsTorn(disk chaos.Disk, path string) bool {
 func (j *Journal) Path() string { return j.path }
 
 // Append marshals v onto one line, writes it with a single write call, and
-// fsyncs before returning: on success the entry is durable. After a failed
-// fsync the journal is poisoned and every Append (including this one)
-// returns a *PoisonedJournalError.
+// fsyncs before returning: on success the entry is durable.
+//
+// A failed write marks the tail torn and returns the error; the next
+// append starts on a fresh line. A failed fsync is repaired once: the
+// descriptor is closed without another sync, the same path is reopened,
+// and the entry is appended again. This is sound because every append
+// fsyncs on its own, so the failed fsync covered only this entry, and the
+// retry lands it through fresh dirty pages. If both copies reach the disk,
+// readers dedup them (the cell merge by attempt and fingerprint, the
+// request journal by id). If the repair fails too, the journal is poisoned
+// and this and every later Append return a *PoisonedJournalError. An
+// Append after Close fails and never reopens the file.
 func (j *Journal) Append(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -124,9 +140,38 @@ func (j *Journal) Append(v any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return fmt.Errorf("exp: journal %s: %w", j.path, os.ErrClosed)
+	}
 	if j.poisoned != nil {
 		return j.poisoned
 	}
+	if err := j.writeLine(data); err != nil {
+		return err
+	}
+	serr := j.f.Sync()
+	if serr == nil {
+		return nil
+	}
+	fsyncFailures.Add(1)
+	j.f.Close()
+	f, torn, err := openAppend(j.disk, j.path)
+	if err == nil {
+		j.f, j.torn = f, torn
+		if err = j.writeLine(data); err == nil {
+			if err = j.f.Sync(); err == nil {
+				return nil
+			}
+			fsyncFailures.Add(1)
+		}
+	}
+	j.poisoned = &PoisonedJournalError{Path: j.path, Cause: serr}
+	return j.poisoned
+}
+
+// writeLine writes data and a newline with one write call, first starting
+// a fresh line when the tail is torn.
+func (j *Journal) writeLine(data []byte) error {
 	var line []byte
 	if j.torn {
 		// Start on a fresh line so a previously torn fragment stays an
@@ -142,20 +187,19 @@ func (j *Journal) Append(v any) error {
 		return err
 	}
 	j.torn = false
-	if err := j.f.Sync(); err != nil {
-		fsyncFailures.Add(1)
-		j.poisoned = &PoisonedJournalError{Path: j.path, Cause: err}
-		return j.poisoned
-	}
 	return nil
 }
 
 // Close fsyncs any buffered state and closes the file. A poisoned journal
 // closes without syncing (there is nothing left to promise) and returns
-// its poison error. Close after Close is an error from the OS, as usual.
+// its poison error. Close after Close fails.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return fmt.Errorf("exp: journal %s: %w", j.path, os.ErrClosed)
+	}
+	j.closed = true
 	if j.poisoned != nil {
 		j.f.Close()
 		return j.poisoned
@@ -173,12 +217,7 @@ func (j *Journal) Close() error {
 // file is an empty journal. Blank lines are skipped; fn returning an error
 // skips that line (it is how the torn tail of a killed writer, or any
 // malformed line, is tolerated) — it never aborts the replay.
-func ReplayJournal(path string, fn func(line []byte) error) error {
-	return ReplayJournalOn(chaos.OS{}, path, fn)
-}
-
-// ReplayJournalOn is ReplayJournal on an explicit disk.
-func ReplayJournalOn(disk chaos.Disk, path string, fn func(line []byte) error) error {
+func ReplayJournal(disk chaos.Disk, path string, fn func(line []byte) error) error {
 	f, err := disk.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -329,14 +368,9 @@ func (h *specFNV) str(s string) { h.blob([]byte(s)) }
 // matches spec, returning a *StaleJournalError on mismatch. found reports
 // whether any spec record exists: a missing or empty journal has none and
 // the caller should write one.
-func CheckJournalSpec(path string, spec uint64) (found bool, err error) {
-	return CheckJournalSpecOn(chaos.OS{}, path, spec)
-}
-
-// CheckJournalSpecOn is CheckJournalSpec on an explicit disk.
-func CheckJournalSpecOn(disk chaos.Disk, path string, spec uint64) (found bool, err error) {
+func CheckJournalSpec(disk chaos.Disk, path string, spec uint64) (found bool, err error) {
 	var got uint64
-	rerr := ReplayJournalOn(disk, path, func(line []byte) error {
+	rerr := ReplayJournal(disk, path, func(line []byte) error {
 		if found {
 			return nil
 		}
@@ -404,7 +438,7 @@ func Supersedes(curAttempt int, curFp uint64, newAttempt int, newFp uint64) bool
 // replayCells folds one journal's entries into the winners map under the
 // deterministic dedup order.
 func replayCells(disk chaos.Disk, path string, m map[Key]cellWinner) error {
-	return ReplayJournalOn(disk, path, func(line []byte) error {
+	return ReplayJournal(disk, path, func(line []byte) error {
 		var e journalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
 			return err
@@ -445,13 +479,8 @@ func replayCells(disk chaos.Disk, path string, m map[Key]cellWinner) error {
 // raced into the file, and unstamped legacy records keep the historical
 // last-write-wins behavior (the journal is append-only, so for a single
 // writer the latest line is the most recent completion).
-func ReadJournal(path string) (map[Key]*stats.Run, error) {
-	return MergeJournals(path)
-}
-
-// ReadJournalOn is ReadJournal on an explicit disk.
-func ReadJournalOn(disk chaos.Disk, path string) (map[Key]*stats.Run, error) {
-	return MergeJournalsOn(disk, path)
+func ReadJournal(disk chaos.Disk, path string) (map[Key]*stats.Run, error) {
+	return MergeJournals(disk, path)
 }
 
 // MergeJournals reads several cell journals — the shape a sharded sweep
@@ -462,13 +491,8 @@ func ReadJournalOn(disk chaos.Disk, path string) (map[Key]*stats.Run, error) {
 // records are distinguishable (stamped with attempt/fingerprint); the
 // merged set is therefore byte-identical to what a single-node run of the
 // same sweep would have journaled.
-func MergeJournals(paths ...string) (map[Key]*stats.Run, error) {
-	return MergeJournalsOn(chaos.OS{}, paths...)
-}
-
-// MergeJournalsOn is MergeJournals on an explicit disk.
-func MergeJournalsOn(disk chaos.Disk, paths ...string) (map[Key]*stats.Run, error) {
-	recs, err := MergeJournalRecordsOn(disk, paths...)
+func MergeJournals(disk chaos.Disk, paths ...string) (map[Key]*stats.Run, error) {
+	recs, err := MergeJournalRecords(disk, paths...)
 	if err != nil {
 		return nil, err
 	}
@@ -489,12 +513,7 @@ type CellRecord struct {
 }
 
 // MergeJournalRecords is MergeJournals keeping each winner's stamp.
-func MergeJournalRecords(paths ...string) (map[Key]CellRecord, error) {
-	return MergeJournalRecordsOn(chaos.OS{}, paths...)
-}
-
-// MergeJournalRecordsOn is MergeJournalRecords on an explicit disk.
-func MergeJournalRecordsOn(disk chaos.Disk, paths ...string) (map[Key]CellRecord, error) {
+func MergeJournalRecords(disk chaos.Disk, paths ...string) (map[Key]CellRecord, error) {
 	winners := make(map[Key]cellWinner)
 	for _, path := range paths {
 		if err := replayCells(disk, path, winners); err != nil {

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"fgpsim/internal/chaos"
@@ -19,74 +22,170 @@ func chaosDisk(faults ...chaos.Fault) *chaos.FS {
 	return chaos.NewFS(chaos.OS{}, &chaos.Schedule{Seed: 1, Faults: faults}, "d")
 }
 
-// TestJournalPoisonedByFsyncFailure is satellite coverage for the fsync
-// gate: a failed Sync must fail the triggering Append with a
-// *PoisonedJournalError AND every Append after it — a post-failure entry
-// must never be reportable as durable, even though later fsyncs would
-// "succeed" (the kernel may have dropped the dirty pages the failed one
-// covered).
+// TestJournalPoisonedByFsyncFailure pins the fsync gate and its repair
+// inside Journal.Append. One failed Sync is healed by reopening the path
+// and appending the entry again. A second failure in a row poisons the
+// journal for good: a post-failure entry must never be reportable as
+// durable, even though later fsyncs would "succeed" (the kernel may have
+// dropped the dirty pages the failed one covered). An Append after Close
+// fails without touching the file.
 func TestJournalPoisonedByFsyncFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.journal")
-	before := JournalFsyncFailures()
-	disk := chaosDisk(chaos.Fault{Kind: chaos.SyncFail, Class: "sync", N: 2})
-	j, err := OpenJournalOn(disk, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, k2 := journalKey("a"), journalKey("b")
-	if err := j.AppendCell(k1, runWithCycles(10), 1); err != nil {
-		t.Fatalf("append 1 (clean sync): %v", err)
-	}
-
-	var poisoned *PoisonedJournalError
-	err = j.AppendCell(k2, runWithCycles(20), 1)
-	if !errors.As(err, &poisoned) {
-		t.Fatalf("append 2 = %v; want *PoisonedJournalError", err)
-	}
-	if poisoned.Path != path {
-		t.Fatalf("poison path = %q, want %q", poisoned.Path, path)
-	}
-	var inj *chaos.InjectedError
-	if !errors.As(err, &inj) || inj.Kind != chaos.SyncFail {
-		t.Fatalf("poison cause = %v; want the injected sync failure", err)
-	}
-	if got := JournalFsyncFailures(); got != before+1 {
-		t.Fatalf("JournalFsyncFailures = %d, want %d", got, before+1)
-	}
-
-	// The fault has drained — a raw sync would now succeed — but the
-	// journal must stay poisoned anyway.
-	for i := 0; i < 3; i++ {
-		if err := j.AppendCell(journalKey(fmt.Sprintf("late-%d", i)), runWithCycles(1), 1); !errors.As(err, &poisoned) {
-			t.Fatalf("append after poison = %v; want *PoisonedJournalError", err)
+	t.Run("one failure is healed", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		before := JournalFsyncFailures()
+		j, err := OpenJournal(chaosDisk(chaos.Fault{Kind: chaos.SyncFail, Class: "sync", N: 2}), path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := j.Close(); !errors.As(err, &poisoned) {
-		t.Fatalf("Close on poisoned journal = %v; want *PoisonedJournalError", err)
-	}
-	if got := JournalFsyncFailures(); got != before+1 {
-		t.Fatalf("poisoned appends re-counted fsync failures: %d", got-before)
-	}
+		k1, k2, k3 := journalKey("a"), journalKey("b"), journalKey("c")
+		for i, k := range []Key{k1, k2, k3} {
+			if err := j.AppendCell(k, runWithCycles(int64(10*(i+1))), 1); err != nil {
+				t.Fatalf("append %d: %v", i+1, err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := JournalFsyncFailures(); got != before+1 {
+			t.Fatalf("JournalFsyncFailures rose by %d, want 1", got-before)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The repair re-appends the entry whose fsync failed; the first copy
+		// is still in the file, so the dedup sees it twice.
+		if lines := strings.Count(string(data), "\n"); lines != 4 {
+			t.Fatalf("journal has %d lines, want 4 (k2 appended twice):\n%s", lines, data)
+		}
+		m, err := ReadJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != 3 || m[k1].Cycles != 10 || m[k2].Cycles != 20 || m[k3].Cycles != 30 {
+			t.Fatalf("after the healed fsync: %+v", m)
+		}
+	})
 
-	// Recovery contract: reopening the same path yields a clean journal,
-	// and only the entries appended before the poison are durable.
-	j2, err := OpenJournalOn(disk, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.AppendCell(k2, runWithCycles(20), 2); err != nil {
-		t.Fatalf("append after reopen: %v", err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 2 || m[k1].Cycles != 10 || m[k2].Cycles != 20 {
-		t.Fatalf("after recovery: %+v", m)
-	}
+	t.Run("two failures in a row poison", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		before := JournalFsyncFailures()
+		disk := chaosDisk(
+			chaos.Fault{Kind: chaos.SyncFail, Class: "sync", N: 2},
+			chaos.Fault{Kind: chaos.SyncFail, Class: "sync", N: 3},
+		)
+		j, err := OpenJournal(disk, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k1 := journalKey("a")
+		if err := j.AppendCell(k1, runWithCycles(10), 1); err != nil {
+			t.Fatalf("append 1 (clean sync): %v", err)
+		}
+		var poisoned *PoisonedJournalError
+		err = j.AppendCell(journalKey("b"), runWithCycles(20), 1)
+		if !errors.As(err, &poisoned) {
+			t.Fatalf("append 2 = %v; want *PoisonedJournalError", err)
+		}
+		if poisoned.Path != path {
+			t.Fatalf("poison path = %q, want %q", poisoned.Path, path)
+		}
+		var inj *chaos.InjectedError
+		if !errors.As(err, &inj) || inj.Kind != chaos.SyncFail {
+			t.Fatalf("poison cause = %v; want the injected sync failure", err)
+		}
+		if got := JournalFsyncFailures(); got != before+2 {
+			t.Fatalf("JournalFsyncFailures rose by %d, want 2", got-before)
+		}
+
+		// The faults have drained — a raw sync would now succeed — but the
+		// journal must stay poisoned anyway.
+		late := make([]Key, 3)
+		for i := range late {
+			late[i] = journalKey(fmt.Sprintf("late-%d", i))
+			if err := j.AppendCell(late[i], runWithCycles(1), 1); !errors.As(err, &poisoned) {
+				t.Fatalf("append after poison = %v; want *PoisonedJournalError", err)
+			}
+		}
+		if err := j.Close(); !errors.As(err, &poisoned) {
+			t.Fatalf("Close on poisoned journal = %v; want *PoisonedJournalError", err)
+		}
+		if got := JournalFsyncFailures(); got != before+2 {
+			t.Fatalf("poisoned appends re-counted fsync failures: %d", got-before)
+		}
+		m, err := ReadJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m[k1] == nil || m[k1].Cycles != 10 {
+			t.Fatalf("entry appended before the poison lost: %+v", m)
+		}
+		for _, k := range late {
+			if m[k] != nil {
+				t.Fatalf("append refused by the poisoned journal reached the file: %+v", m)
+			}
+		}
+	})
+
+	t.Run("concurrent appends across a repair", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		j, err := OpenJournal(chaosDisk(chaos.Fault{Kind: chaos.SyncFail, Class: "sync", N: 5}), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writers, each = 8, 10
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if err := j.AppendCell(journalKey(fmt.Sprintf("w%d-%d", w, i)), runWithCycles(int64(i)), 1); err != nil {
+						t.Error(err)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != writers*each {
+			t.Fatalf("read back %d cells, want %d", len(m), writers*each)
+		}
+	})
+
+	t.Run("append after close", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		j, err := OpenJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCell(journalKey("a"), runWithCycles(10), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCell(journalKey("b"), runWithCycles(20), 1); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("append after Close = %v; want os.ErrClosed", err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("append after Close changed the file:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }
 
 // TestJournalTornWriteDoesNotGlueNextAppend is the torn-tail guard: a
@@ -97,7 +196,7 @@ func TestJournalTornWriteDoesNotGlueNextAppend(t *testing.T) {
 	// Arg=17 tears the second append mid-line (the entry lines here are
 	// ~200 bytes, so 17 is a proper prefix with no newline).
 	disk := chaosDisk(chaos.Fault{Kind: chaos.TornWrite, Class: "write", N: 2, Arg: 17})
-	j, err := OpenJournalOn(disk, path)
+	j, err := OpenJournal(disk, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +216,7 @@ func TestJournalTornWriteDoesNotGlueNextAppend(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +259,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 		f.Close()
 	}
 
-	a, err := OpenJournal(path)
+	a, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +270,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 
 	// Writer C opens over B's fragment: tailIsTorn must isolate it so C's
 	// first append survives.
-	c, err := OpenJournal(path)
+	c, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +298,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 
 	// Writer E reopens (crash recovery): the glued line ended with '\n',
 	// so the tail is clean and E's append lands whole.
-	e, err := OpenJournal(path)
+	e, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +307,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 	}
 	e.Close()
 
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}

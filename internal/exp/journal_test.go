@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fgpsim/internal/chaos"
 	"fgpsim/internal/machine"
 	"fgpsim/internal/stats"
 )
@@ -23,7 +24,7 @@ func runWithCycles(c int64) *stats.Run {
 
 func TestJournalAppendReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestJournalAppendReadRoundtrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestJournalAppendReadRoundtrip(t *testing.T) {
 // partial resume) must restore the latest line.
 func TestJournalDuplicateKeysLastWriteWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestJournalDuplicateKeysLastWriteWins(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestJournalDuplicateKeysLastWriteWins(t *testing.T) {
 // checks the read is identical to reading it once.
 func TestJournalReplayedTwice(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestJournalReplayedTwice(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	once, err := ReadJournal(path)
+	once, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestJournalReplayedTwice(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte{}, data...), data...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	twice, err := ReadJournal(path)
+	twice, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestJournalReplayedTwice(t *testing.T) {
 // during an append leaves behind) and checks only that line is lost.
 func TestJournalTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 // writer extends rather than truncates it.
 func TestJournalOpenIsAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestJournalOpenIsAppend(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestJournalOpenIsAppend(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestReplayJournalSkipsMalformed(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 	write := func(t *testing.T, entries []journalEntry) string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "cells.journal")
-		j, err := OpenJournal(path)
+		j, err := OpenJournal(chaos.OS{}, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 		"old-then-new": {stamp(first, 1), stamp(second, 2)},
 		"new-then-old": {stamp(second, 2), stamp(first, 1)},
 	} {
-		m, err := ReadJournal(write(t, order))
+		m, err := ReadJournal(chaos.OS{}, write(t, order))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -270,7 +271,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 		"a-then-b": {stamp(a, 3), stamp(b, 3)},
 		"b-then-a": {stamp(b, 3), stamp(a, 3)},
 	} {
-		m, err := ReadJournal(write(t, order))
+		m, err := ReadJournal(chaos.OS{}, write(t, order))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -289,7 +290,7 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 
 	writeCells := func(name string, appends func(j *Journal)) string {
 		path := filepath.Join(dir, name)
-		j, err := OpenJournal(path)
+		j, err := OpenJournal(chaos.OS{}, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 		"a-first": {pa, pb},
 		"b-first": {pb, pa},
 	} {
-		m, err := MergeJournals(paths...)
+		m, err := MergeJournals(chaos.OS{}, paths...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -332,7 +333,7 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 // plain resume path (ReadJournal) like any other record.
 func TestAppendCellReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(path)
+	m, err := ReadJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 
 // TestReadJournalMissingFile treats a nonexistent journal as empty.
 func TestReadJournalMissingFile(t *testing.T) {
-	m, err := ReadJournal(filepath.Join(t.TempDir(), "nope.journal"))
+	m, err := ReadJournal(chaos.OS{}, filepath.Join(t.TempDir(), "nope.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

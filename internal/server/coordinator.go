@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"fgpsim/internal/chaos"
 	"fgpsim/internal/exp"
 	"fgpsim/internal/snapshot"
 	"fgpsim/internal/stats"
@@ -117,12 +115,8 @@ type fabricJob struct {
 	j    *job
 	spec SweepSpec
 
-	// jmu guards the journal pointers (not the appends themselves — those
-	// serialize on each Journal's own mutex). It exists for the poison
-	// repair path: a failed fsync permanently poisons a journal, and the
-	// handler that hits it swaps a freshly opened journal in under jmu.
-	jmu           sync.Mutex
-	jclosed       bool         // set by closeJournals; stops post-finish repairs
+	// The journals are nil when persistence is off; exp.Journal repairs a
+	// failed fsync itself and refuses appends once the sweep closes them.
 	cellJournal   *exp.Journal // results, exp.AppendCell records
 	assignJournal *exp.Journal // assignRecord lines
 
@@ -230,7 +224,7 @@ func (c *coordinator) start(j *job, recovered bool) error {
 		// Strict digest verification on replay: a bitrotted or torn record
 		// is rejected (counted, logged) and its cell simply requeues —
 		// corruption on disk never becomes a served result.
-		prior, err := exp.MergeJournalRecordsVerifiedOn(disk, func(ie *exp.IntegrityError) {
+		prior, err := exp.MergeJournalRecordsVerified(disk, func(ie *exp.IntegrityError) {
 			c.s.met.integrityFailures.Add(1)
 			fmt.Fprintf(os.Stderr, "server: fabric journal: %v\n", ie)
 		}, cellPath)
@@ -250,7 +244,7 @@ func (c *coordinator) start(j *job, recovered bool) error {
 				c.s.met.cellsRestored.Add(1)
 			}
 		}
-		fj.cellJournal, err = exp.OpenJournalOn(disk, cellPath)
+		fj.cellJournal, err = exp.OpenJournal(disk, cellPath)
 		if err != nil {
 			return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
 		}
@@ -258,7 +252,7 @@ func (c *coordinator) start(j *job, recovered bool) error {
 	if ap := c.assignJournalPath(j.ID); ap != "" {
 		// Restore each cell's attempt high-water mark so post-restart
 		// assignments supersede pre-restart ones in the merge order.
-		exp.ReplayJournalOn(disk, ap, func(line []byte) error {
+		exp.ReplayJournal(disk, ap, func(line []byte) error {
 			var rec assignRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
 				return err
@@ -271,7 +265,7 @@ func (c *coordinator) start(j *job, recovered bool) error {
 			return nil
 		})
 		var err error
-		fj.assignJournal, err = exp.OpenJournalOn(disk, ap)
+		fj.assignJournal, err = exp.OpenJournal(disk, ap)
 		if err != nil {
 			return fmt.Errorf("server: assignment journal %s: %w", ap, err)
 		}
@@ -371,10 +365,10 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	// Durable before visible: the assignment journal line lands (fsync'd)
 	// before the worker can possibly produce a result under it.
+	if fj.assignJournal != nil {
+		fj.assignJournal.Append(rec)
+	}
 	disk := c.s.cfg.disk()
-	fj.appendRepairing(disk, &fj.assignJournal, func(j *exp.Journal) error {
-		return j.Append(rec)
-	})
 	// Attach shipped snapshots so a requeued cell resumes mid-run. Disk IO
 	// deliberately happens outside the coordinator lock. Audits never get a
 	// snapshot: re-execution must be independent of the bytes it audits.
@@ -383,8 +377,8 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		path := filepath.Join(c.snapDir, resp.Cells[i].Cell+".snap")
-		if snapshot.ExistsOn(disk, path) {
-			if data, _, err := snapshot.LoadShippableOn(disk, path); err == nil {
+		if snapshot.Exists(disk, path) {
+			if data, _, err := snapshot.LoadShippable(disk, path); err == nil {
 				resp.Cells[i].Snapshot = data
 			}
 		}
@@ -454,9 +448,7 @@ func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Stats != nil {
-		if err := fj.appendRepairing(c.s.cfg.disk(), &fj.cellJournal, func(j *exp.Journal) error {
-			return j.AppendCell(cell.key, req.Stats, req.Attempt)
-		}); err != nil {
+		if err := fj.appendCell(cell.key, req.Stats, req.Attempt); err != nil {
 			// An append can race the job finishing (the journal closes with
 			// it); that is the same late-straggler case, not a server error.
 			c.mu.Lock()
@@ -677,9 +669,7 @@ func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, ce
 		// replay merge supersedes the corrupt record.
 		adopt := *req
 		c.mu.Unlock()
-		if err := fj.appendRepairing(c.s.cfg.disk(), &fj.cellJournal, func(j *exp.Journal) error {
-			return j.AppendCell(cell.key, adopt.Stats, adopt.Attempt)
-		}); err != nil {
+		if err := fj.appendCell(cell.key, adopt.Stats, adopt.Attempt); err != nil {
 			// The journal refused the adopted record; leave the audit
 			// in flight and make the worker redeliver. auditsPending > 0
 			// keeps the sweep (and its journal) open meanwhile.
@@ -796,13 +786,9 @@ func (c *coordinator) finishJob(fj *fabricJob) {
 	fj.closeJournals()
 }
 
-// closeJournals closes both journals under jmu and marks them closed, so a
-// poison repair racing the finish cannot resurrect a journal for a settled
-// sweep.
+// closeJournals closes both journals. An append racing the finish then
+// fails instead of reopening a journal for a settled sweep.
 func (fj *fabricJob) closeJournals() {
-	fj.jmu.Lock()
-	defer fj.jmu.Unlock()
-	fj.jclosed = true
 	if fj.cellJournal != nil {
 		fj.cellJournal.Close()
 	}
@@ -811,45 +797,13 @@ func (fj *fabricJob) closeJournals() {
 	}
 }
 
-// appendRepairing runs do against the journal at *jp, repairing it once if
-// the append reports a poisoned fsync gate: the poisoned journal is closed,
-// a fresh one opened at the same path, and the append retried through it.
-// The retry is durability-sound because every append fsyncs individually —
-// the only entry of unknown durability is the one the failed fsync covered,
-// and the retry re-appends exactly that entry through a fresh descriptor
-// (fresh dirty pages); if both copies land, the (attempt, fingerprint)
-// merge dedups them. Returns nil when no journal is configured.
-func (fj *fabricJob) appendRepairing(disk chaos.Disk, jp **exp.Journal, do func(*exp.Journal) error) error {
-	fj.jmu.Lock()
-	j := *jp
-	fj.jmu.Unlock()
-	if j == nil {
+// appendCell journals one result. Returns nil when no journal is
+// configured.
+func (fj *fabricJob) appendCell(k exp.Key, s *stats.Run, attempt int) error {
+	if fj.cellJournal == nil {
 		return nil
 	}
-	err := do(j)
-	var pe *exp.PoisonedJournalError
-	if !errors.As(err, &pe) {
-		return err
-	}
-	fresh, oerr := exp.OpenJournalOn(disk, pe.Path)
-	if oerr != nil {
-		return err
-	}
-	fj.jmu.Lock()
-	if fj.jclosed {
-		fj.jmu.Unlock()
-		fresh.Close()
-		return err
-	}
-	if *jp == j {
-		*jp = fresh
-		j.Close() // returns the poison error; the state is already on disk
-	} else {
-		fresh.Close() // a racing handler repaired first; use its journal
-	}
-	j = *jp
-	fj.jmu.Unlock()
-	return do(j)
+	return fj.cellJournal.AppendCell(k, s, attempt)
 }
 
 // cellIDPattern guards the snapshot PUT path segment: exp.CellID is 16 hex
@@ -882,7 +836,7 @@ func (c *coordinator) handleSnapshotPut(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	if _, err := snapshot.StoreOn(c.s.cfg.disk(), filepath.Join(c.snapDir, cellID+".snap"), data); err != nil {
+	if _, err := snapshot.Store(c.s.cfg.disk(), filepath.Join(c.snapDir, cellID+".snap"), data); err != nil {
 		// Corrupt ship bodies (CRC tear, bitrot at source) strike the
 		// shipping worker. A transit tear can strike an innocent sender,
 		// which is acceptable: quarantine only revokes the lease, and an

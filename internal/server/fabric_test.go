@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fgpsim/internal/chaos"
 	"fgpsim/internal/core"
 	"fgpsim/internal/exp"
 )
@@ -387,7 +388,7 @@ func TestFabricLateDeliveryAfterRequeue(t *testing.T) {
 		t.Errorf("results after late deliveries differ from control\ngot:     %s\ncontrol: %s", got, control)
 	}
 	// And the journal replays to the same verdict a restart would need.
-	merged, err := exp.MergeJournals(f.s.cellJournalPath(f.id))
+	merged, err := exp.MergeJournals(chaos.OS{}, f.s.cellJournalPath(f.id))
 	if err != nil {
 		t.Fatal(err)
 	}

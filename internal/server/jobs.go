@@ -255,7 +255,7 @@ func specHash(spec *SweepSpec) string {
 func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, error) {
 	var order []string
 	specs := make(map[string]*SweepSpec)
-	err := exp.ReplayJournalOn(disk, path, func(line []byte) error {
+	err := exp.ReplayJournal(disk, path, func(line []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err

@@ -33,8 +33,8 @@ type workerEnt struct {
 // were partitioned long enough that it wants a fresh lease — atomically
 // supersedes the old registration: under one lock acquisition the old
 // lease's in-flight cells are requeued, the liveness watch is re-armed
-// (watchdog.watchKeyed revokes any pending stall verdict against the old
-// incarnation), and the new lease becomes the only one the coordinator
+// (a keyed watchdog registration revokes any pending stall verdict against
+// the old incarnation), and the new lease becomes the only one the coordinator
 // will assign to. There is no instant at which both incarnations can hold
 // assignments, so a restart race cannot double-run a cell against two
 // lease epochs the coordinator still believes in.
@@ -58,9 +58,9 @@ func (c *coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.ring.Add(req.Worker)
 	}
 	ent := &workerEnt{id: req.Worker, lease: lease}
-	ent.unwatch = c.wd.watchKeyed(req.Worker, &ent.beat, func(error) {
+	ent.unwatch = c.wd.watch(&watchItem{id: req.Worker, key: req.Worker, beat: &ent.beat, cancel: func(error) {
 		c.markDead(req.Worker, lease)
-	})
+	}})
 	c.workers[req.Worker] = ent
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, registerResponse{Lease: lease})

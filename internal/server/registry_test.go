@@ -114,8 +114,8 @@ func TestWatchKeyedReArm(t *testing.T) {
 	w := newWatchdog(time.Hour, 50*time.Millisecond) // never started; swept by hand
 	var beat1, beat2 atomic.Int64
 	var killed1, killed2 atomic.Bool
-	w.watchKeyed("ident", &beat1, func(error) { killed1.Store(true) })
-	w.watchKeyed("ident", &beat2, func(error) { killed2.Store(true) }) // re-arm
+	w.watch(&watchItem{id: "ident", key: "ident", beat: &beat1, cancel: func(error) { killed1.Store(true) }})
+	w.watch(&watchItem{id: "ident", key: "ident", beat: &beat2, cancel: func(error) { killed2.Store(true) }}) // re-arm
 
 	w.sweep(time.Now().Add(time.Minute)) // both counters silent far past the stall
 	if killed1.Load() {
@@ -130,7 +130,7 @@ func TestWatchKeyedReArm(t *testing.T) {
 	// The verdict cleared the keyed slot: a fresh re-arm starts a fresh clock.
 	var beat3 atomic.Int64
 	var killed3 atomic.Bool
-	unwatch := w.watchKeyed("ident", &beat3, func(error) { killed3.Store(true) })
+	unwatch := w.watch(&watchItem{id: "ident", key: "ident", beat: &beat3, cancel: func(error) { killed3.Store(true) }})
 	beat3.Add(1)
 	w.sweep(time.Now().Add(2 * time.Minute)) // first sample sees progress
 	if killed3.Load() {
@@ -149,7 +149,7 @@ func TestWatchKeyedVerdictCarriesCause(t *testing.T) {
 	w := newWatchdog(time.Hour, 50*time.Millisecond)
 	var beat atomic.Int64
 	ctx, cancel := context.WithCancelCause(context.Background())
-	w.watchKeyed("w-7", &beat, cancel)
+	w.watch(&watchItem{id: "w-7", key: "w-7", beat: &beat, cancel: cancel})
 	w.sweep(time.Now().Add(time.Minute))
 	select {
 	case <-ctx.Done():
@@ -184,7 +184,7 @@ func TestWatchKeyedChurnRace(t *testing.T) {
 			key := fmt.Sprintf("w-%d", i)
 			var beat atomic.Int64
 			for !stop.Load() {
-				w.watchKeyed(key, &beat, func(error) {})
+				w.watch(&watchItem{id: key, key: key, beat: &beat, cancel: func(error) {}})
 			}
 		}(i)
 	}

@@ -19,12 +19,12 @@ import (
 // different stakes:
 //
 //   - Snapshots are resume hints. A corrupt primary is repaired from its
-//     .prev rotation (snapshot.ScrubFileOn); when neither copy decodes,
+//     .prev rotation (snapshot.ScrubFile); when neither copy decodes,
 //     both are renamed *.quarantined so the read ladder falls through to
 //     an older shipped copy or a cycle-0 restart. Losing one costs
 //     checkpoint progress, never correctness.
 //   - Cell journals are the record of truth. The scrubber only DETECTS
-//     here (exp.ScrubJournalOn): a journal is append-only and live —
+//     here (exp.ScrubJournal): a journal is append-only and live —
 //     rewriting it under a concurrent appender would risk the very
 //     corruption the scrubber exists to catch. A bad record is counted
 //     (scrub_corrupt_records, an operator page) and logged; the merge
@@ -54,7 +54,7 @@ func (s *Server) scrubPass() {
 	// Cell journals: detection only.
 	journals, _ := filepath.Glob(filepath.Join(s.cfg.JournalDir, "sweep-*.cells"))
 	for _, p := range journals {
-		_, bad, err := exp.ScrubJournalOn(disk, p)
+		_, bad, err := exp.ScrubJournal(disk, p)
 		if err != nil {
 			continue // unreadable this pass; the next one retries
 		}
@@ -67,12 +67,12 @@ func (s *Server) scrubPass() {
 	// Snapshots: repair from .prev, quarantine what cannot be repaired.
 	// Both the /run-path snapshot dir and the coordinator's shipped-copy
 	// dir are covered; globbing *.snap leaves .prev rotations and already-
-	// quarantined files alone (ScrubFileOn handles each primary's .prev).
+	// quarantined files alone (ScrubFile handles each primary's .prev).
 	dirs := []string{s.snapshotDir(), filepath.Join(s.cfg.JournalDir, "fabric-snapshots")}
 	for _, dir := range dirs {
 		snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
 		for _, p := range snaps {
-			outcome, err := snapshot.ScrubFileOn(disk, p)
+			outcome, err := snapshot.ScrubFile(disk, p)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "server: scrub: %v\n", err)
 			}

@@ -163,11 +163,7 @@ type Server struct {
 	prep  *prepCache
 	coord *coordinator // non-nil in coordinator mode
 
-	// reqJournal is nil when persistence is off. reqJMu guards the pointer
-	// for the poison repair path (appendRequest), exactly like
-	// fabricJob.jmu guards the sweep journals.
-	reqJMu     sync.Mutex
-	reqJClosed bool
+	// reqJournal is nil when persistence is off.
 	reqJournal *exp.Journal
 
 	// baseCtx parents every sweep (and force-cancels /run work on drain
@@ -226,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: request journal: %w", err)
 		}
 		s.recovered = recs
-		s.reqJournal, err = exp.OpenJournalOn(cfg.disk(), path)
+		s.reqJournal, err = exp.OpenJournal(cfg.disk(), path)
 		if err != nil {
 			return nil, fmt.Errorf("server: request journal: %w", err)
 		}
@@ -326,53 +322,20 @@ func (s *Server) Drain(ctx context.Context) error {
 		if s.coord != nil {
 			s.coord.shutdown()
 		}
-		s.reqJMu.Lock()
-		s.reqJClosed = true
 		if s.reqJournal != nil {
 			s.reqJournal.Close()
 		}
-		s.reqJMu.Unlock()
 	})
 	return nil
 }
 
-// appendRequest appends one record to the request journal, repairing a
-// poisoned journal once: close it, reopen the same path, retry the append.
-// Sound for the same reason fabricJob.appendRepairing is — per-append
-// fsync means only the failing append's durability is unknown, and the
-// retry re-lands exactly that record through a fresh descriptor. Returns
-// nil when persistence is off.
+// appendRequest appends one record to the request journal (which repairs
+// a failed fsync itself). Returns nil when persistence is off.
 func (s *Server) appendRequest(rec journalRecord) error {
-	s.reqJMu.Lock()
-	j := s.reqJournal
-	s.reqJMu.Unlock()
-	if j == nil {
+	if s.reqJournal == nil {
 		return nil
 	}
-	err := j.Append(rec)
-	var pe *exp.PoisonedJournalError
-	if !errors.As(err, &pe) {
-		return err
-	}
-	fresh, oerr := exp.OpenJournalOn(s.cfg.disk(), pe.Path)
-	if oerr != nil {
-		return err
-	}
-	s.reqJMu.Lock()
-	if s.reqJClosed {
-		s.reqJMu.Unlock()
-		fresh.Close()
-		return err
-	}
-	if s.reqJournal == j {
-		s.reqJournal = fresh
-		j.Close() // returns the poison error; the state is already on disk
-	} else {
-		fresh.Close() // a racing append repaired first; use its journal
-	}
-	j = s.reqJournal
-	s.reqJMu.Unlock()
-	return j.Append(rec)
+	return s.reqJournal.Append(rec)
 }
 
 // Handler returns the service's HTTP surface.
@@ -543,7 +506,7 @@ func (s *Server) execute(parent context.Context, id string, p *exp.Prepared, cfg
 		defer tcancel()
 	}
 	var beat atomic.Int64
-	unwatch := s.wd.watch(id, &beat, cancel)
+	unwatch := s.wd.watch(&watchItem{id: id, beat: &beat, cancel: cancel})
 	defer unwatch()
 	st, err := p.RunContext(runCtx, cfg, core.Limits{Heartbeat: &beat})
 	return st, runCtx, err
@@ -672,12 +635,11 @@ func (s *Server) runSweep(j *job, t *ticket) {
 
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	defer cancel(nil)
-	var unwatch func()
+	it := &watchItem{id: j.ID, beat: &j.beat, cancel: cancel}
 	if s.checkpointsArmed() && s.cfg.PreemptAfter > 0 {
-		unwatch = s.wd.watchPreemptable(j.ID, &j.beat, cancel, &j.preempt, s.cfg.PreemptAfter, s.admit.queued)
-	} else {
-		unwatch = s.wd.watch(j.ID, &j.beat, cancel)
+		it.preempt, it.preemptAfter, it.queued = &j.preempt, s.cfg.PreemptAfter, s.admit.queued
 	}
+	unwatch := s.wd.watch(it)
 	defer unwatch()
 
 	prepared, cfgs, err := s.resolveSweep(j.Spec)

@@ -595,7 +595,7 @@ func TestPendingJobsSpecHashGuard(t *testing.T) {
 	legacy := SweepSpec{Benches: []string{"wc"}, Configs: []ConfigSpec{testConfig}}
 	tampered := SweepSpec{Source: slowSrc, Configs: []ConfigSpec{testConfig}}
 
-	jw, err := exp.OpenJournal(path)
+	jw, err := exp.OpenJournal(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func copyFile(t *testing.T, src, dst string) {
 
 func appendAccept(t *testing.T, journalPath, id string, spec *SweepSpec) {
 	t.Helper()
-	jw, err := exp.OpenJournal(journalPath)
+	jw, err := exp.OpenJournal(chaos.OS{}, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

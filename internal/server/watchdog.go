@@ -36,19 +36,29 @@ type watchdog struct {
 
 	mu    sync.Mutex
 	items map[int64]*watchItem
-	keyed map[string]int64 // identity -> items key, for watchKeyed re-arm
+	keyed map[string]int64 // watchItem.key -> items key of its live registration
 	next  int64
 
 	stop chan struct{}
 	done chan struct{}
 }
 
+// watchItem is one registration. Callers fill id, beat and cancel, plus
+// the optional key and preemption fields; watch owns the rest.
 type watchItem struct {
 	id     string
 	beat   *atomic.Int64
 	cancel context.CancelCauseFunc
-	last   int64
-	since  time.Time
+
+	// key, when set, is a stable identity: registering it atomically
+	// supersedes any live registration with the same key. This is the
+	// fabric registry's liveness primitive. A worker that crashes and
+	// re-registers must re-arm its staleness clock in one step: the old
+	// registration's pending verdicts are revoked before the new one
+	// becomes visible, so the predecessor's stall timer can never kill
+	// (and requeue the cells of) its own successor. Only the registry sets
+	// a key, so a worker ID can never revoke a /run or sweep registration.
+	key string
 
 	// Preemption fields (nil preempt = kill-only item). A preemptable run
 	// that is still beating but has held its slot past preemptAfter while
@@ -58,11 +68,14 @@ type watchItem struct {
 	preempt      *atomic.Bool
 	preemptAfter time.Duration
 	queued       func() int64
-	started      time.Time
-	preempted    bool
+
+	last      int64
+	since     time.Time
+	started   time.Time
+	preempted bool
 
 	// revoked is set when the registration is withdrawn — unwatch, or a
-	// watchKeyed re-arm superseding it. A stall verdict already collected
+	// keyed registration superseding it. A stall verdict already collected
 	// for a revoked item must not fire: the identity it would kill now
 	// belongs to a newer registration (a worker that re-registered after a
 	// restart), and cancelling it would kill the successor by mistake.
@@ -80,6 +93,7 @@ func newWatchdog(interval, stall time.Duration) *watchdog {
 		interval: interval,
 		stall:    stall,
 		items:    make(map[int64]*watchItem),
+		keyed:    make(map[string]int64),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -93,81 +107,41 @@ func (w *watchdog) shutdown() {
 	<-w.done
 }
 
-// watch registers a run. beat must be the counter handed to the engines;
-// cancel is invoked with a *StuckRunError cause on a stall verdict. The
-// returned func deregisters (idempotent, safe after a kill).
-func (w *watchdog) watch(id string, beat *atomic.Int64, cancel context.CancelCauseFunc) (unwatch func()) {
-	return w.register(&watchItem{id: id, beat: beat, cancel: cancel})
-}
-
-// watchPreemptable registers a run that, beyond the stall kill, may be
-// asked to surrender its slot: once it has run for preemptAfter and
-// queued() reports waiting work, preempt is set (exactly once) so the
-// engines park a snapshot and return at their next quiescent boundary.
-func (w *watchdog) watchPreemptable(id string, beat *atomic.Int64, cancel context.CancelCauseFunc,
-	preempt *atomic.Bool, preemptAfter time.Duration, queued func() int64) (unwatch func()) {
-	return w.register(&watchItem{
-		id: id, beat: beat, cancel: cancel,
-		preempt: preempt, preemptAfter: preemptAfter, queued: queued,
-	})
-}
-
-// watchKeyed registers a run under a stable identity, atomically
-// superseding any live registration with the same key. This is the fabric
-// registry's liveness primitive: a worker that crashes and re-registers
-// under the same identity must re-arm its staleness clock in one step —
-// the old registration's pending verdicts are revoked before the new one
-// becomes visible, so there is no window in which the predecessor's stall
-// timer can kill (and requeue the cells of) its own successor. Plain
-// watch() assumed each registration was a distinct single-process run and
-// had no such identity; watchKeyed is what makes restart races safe.
-func (w *watchdog) watchKeyed(key string, beat *atomic.Int64, cancel context.CancelCauseFunc) (unwatch func()) {
-	it := &watchItem{id: key, beat: beat, cancel: cancel}
+// watch registers a run. it.beat must be the counter handed to the
+// engines; it.cancel is invoked with a *StuckRunError cause on a stall
+// verdict. The returned func deregisters (idempotent, safe after a kill).
+func (w *watchdog) watch(it *watchItem) (unwatch func()) {
 	now := time.Now()
 	it.last = it.beat.Load()
 	it.since = now
 	it.started = now
 	w.mu.Lock()
-	if w.keyed == nil {
-		w.keyed = make(map[string]int64)
-	}
-	if prevNum, ok := w.keyed[key]; ok {
-		if prev := w.items[prevNum]; prev != nil {
-			prev.revoked.Store(true)
-			delete(w.items, prevNum)
-		}
-	}
 	w.next++
 	num := w.next
+	if it.key != "" {
+		if prevNum, ok := w.keyed[it.key]; ok {
+			if prev := w.items[prevNum]; prev != nil {
+				prev.revoked.Store(true)
+				delete(w.items, prevNum)
+			}
+		}
+		w.keyed[it.key] = num
+	}
 	w.items[num] = it
-	w.keyed[key] = num
 	w.mu.Unlock()
 	return func() {
 		w.mu.Lock()
 		it.revoked.Store(true)
 		delete(w.items, num)
-		if w.keyed[key] == num {
-			delete(w.keyed, key)
-		}
+		w.dropKeyLocked(it, num)
 		w.mu.Unlock()
 	}
 }
 
-func (w *watchdog) register(it *watchItem) (unwatch func()) {
-	now := time.Now()
-	it.last = it.beat.Load()
-	it.since = now
-	it.started = now
-	w.mu.Lock()
-	w.next++
-	key := w.next
-	w.items[key] = it
-	w.mu.Unlock()
-	return func() {
-		w.mu.Lock()
-		it.revoked.Store(true)
-		delete(w.items, key)
-		w.mu.Unlock()
+// dropKeyLocked clears the keyed slot if it still names registration num.
+func (w *watchdog) dropKeyLocked(it *watchItem, num int64) {
+	if it.key != "" && w.keyed[it.key] == num {
+		delete(w.keyed, it.key)
 	}
 }
 
@@ -189,16 +163,14 @@ func (w *watchdog) loop() {
 func (w *watchdog) sweep(now time.Time) {
 	w.mu.Lock()
 	var killed []*watchItem
-	for key, it := range w.items {
+	for num, it := range w.items {
 		cur := it.beat.Load()
 		if cur != it.last {
 			it.last, it.since = cur, now
 		} else if now.Sub(it.since) >= w.stall {
 			killed = append(killed, it)
-			delete(w.items, key)
-			if w.keyed[it.id] == key {
-				delete(w.keyed, it.id)
-			}
+			delete(w.items, num)
+			w.dropKeyLocked(it, num)
 			continue
 		}
 		if it.preempt != nil && !it.preempted &&

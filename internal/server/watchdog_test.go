@@ -15,7 +15,7 @@ func TestWatchdogKillsStalledRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var beat atomic.Int64 // never advances
-	unwatch := wd.watch("stuck-run", &beat, cancel)
+	unwatch := wd.watch(&watchItem{id: "stuck-run", beat: &beat, cancel: cancel})
 	defer unwatch()
 
 	select {
@@ -54,7 +54,7 @@ func TestWatchdogSparesBeatingRun(t *testing.T) {
 			}
 		}
 	}()
-	unwatch := wd.watch("live-run", &beat, cancel)
+	unwatch := wd.watch(&watchItem{id: "live-run", beat: &beat, cancel: cancel})
 
 	time.Sleep(150 * time.Millisecond)
 	if ctx.Err() != nil {
@@ -72,7 +72,7 @@ func TestWatchdogUnwatchStopsTracking(t *testing.T) {
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var beat atomic.Int64
-	unwatch := wd.watch("finished-run", &beat, cancel)
+	unwatch := wd.watch(&watchItem{id: "finished-run", beat: &beat, cancel: cancel})
 	unwatch() // run completed before any stall verdict
 
 	time.Sleep(100 * time.Millisecond)
@@ -80,4 +80,34 @@ func TestWatchdogUnwatchStopsTracking(t *testing.T) {
 		t.Fatalf("watchdog killed a deregistered run: %v", context.Cause(ctx))
 	}
 	cancel(nil)
+}
+
+// TestWatchdogKeyNeverRevokesUnkeyed: a keyed registration supersedes only
+// registrations with the same key. A /run or sweep registration whose id
+// happens to equal a worker ID keeps its stall verdict, and the preemption
+// fields ride the same registration.
+func TestWatchdogKeyNeverRevokesUnkeyed(t *testing.T) {
+	wd := newWatchdog(time.Hour, 50*time.Millisecond) // never started; swept by hand
+	var runBeat, workerBeat atomic.Int64
+	var runKilled, workerKilled atomic.Bool
+	var preempt atomic.Bool
+	wd.watch(&watchItem{id: "w-1", beat: &runBeat, cancel: func(error) { runKilled.Store(true) },
+		preempt: &preempt, queued: func() int64 { return 1 }})
+	wd.watch(&watchItem{id: "w-1", key: "w-1", beat: &workerBeat, cancel: func(error) { workerKilled.Store(true) }})
+
+	runBeat.Add(1)
+	wd.sweep(time.Now().Add(time.Minute))
+	if !preempt.Load() {
+		t.Error("beating preemptable run with queued work was not preempted")
+	}
+	if runKilled.Load() || !workerKilled.Load() {
+		t.Fatalf("after first sweep: run killed %v, worker killed %v; want false, true", runKilled.Load(), workerKilled.Load())
+	}
+	wd.sweep(time.Now().Add(2 * time.Minute)) // the run's counter is silent now
+	if !runKilled.Load() {
+		t.Error("unkeyed registration lost its stall verdict to a keyed one with the same id")
+	}
+	if got := wd.kills.Load(); got != 2 {
+		t.Errorf("kills = %d, want 2", got)
+	}
 }

@@ -302,7 +302,7 @@ func (w *Worker) runCell(ctx context.Context, pr pollResponse, a cellAssignment)
 		// A previous assignee's shipped progress: store it (re-validated)
 		// where the grid's resume path will find it. Audits never resume
 		// from someone else's progress — they exist to reproduce it.
-		if _, serr := snapshot.StoreOn(w.disk, exp.CellSnapshotPath(w.snapDir, key), a.Snapshot); serr != nil {
+		if _, serr := snapshot.Store(w.disk, exp.CellSnapshotPath(w.snapDir, key), a.Snapshot); serr != nil {
 			w.logf("worker %s: cell %s: shipped snapshot rejected: %v", w.opts.ID, a.Cell, serr)
 		}
 	}

@@ -17,7 +17,9 @@ import (
 // This file is the durability layer: snapshots reach disk atomically (temp
 // file + fsync + rename) and are read back through a two-deep fallback
 // ladder (path, then path.prev), so a crash at any instant leaves at least
-// one decodable snapshot behind.
+// one decodable snapshot behind. Every function here takes the disk it
+// works on first: chaos.OS{} is the real filesystem, and the chaos harness
+// passes a fault-injecting chaos.FS.
 
 // prevSuffix names the previous good snapshot kept alongside the current
 // one; WriteFile rotates into it before replacing.
@@ -28,13 +30,7 @@ const prevSuffix = ".prev"
 // existing snapshot (if any) is rotated to path.prev, and the directory is
 // synced last — so a crash anywhere in the sequence leaves either the old
 // snapshot, the new one, or both, never a half-written file at path.
-func WriteFile(path string, s *Snapshot) error {
-	return WriteFileOn(chaos.OS{}, path, s)
-}
-
-// WriteFileOn is WriteFile on an explicit disk, the seam the chaos harness
-// injects filesystem faults through.
-func WriteFileOn(disk chaos.Disk, path string, s *Snapshot) error {
+func WriteFile(disk chaos.Disk, path string, s *Snapshot) error {
 	data := Encode(s)
 	dir := filepath.Dir(path)
 	tmp, err := disk.CreateTemp(dir, ".snap-*.tmp")
@@ -75,12 +71,7 @@ func WriteFileOn(disk chaos.Disk, path string, s *Snapshot) error {
 // first and falling back to path.prev when path is missing, torn, or
 // corrupt. os.ErrNotExist is returned (wrapped) only when neither file
 // exists; a decodable-nowhere state reports the primary's corruption.
-func ReadLatest(path string) (*Snapshot, error) {
-	return ReadLatestOn(chaos.OS{}, path)
-}
-
-// ReadLatestOn is ReadLatest on an explicit disk.
-func ReadLatestOn(disk chaos.Disk, path string) (*Snapshot, error) {
+func ReadLatest(disk chaos.Disk, path string) (*Snapshot, error) {
 	s, errMain := readOne(disk, path)
 	if errMain == nil {
 		return s, nil
@@ -108,12 +99,7 @@ func readOne(disk chaos.Disk, path string) (*Snapshot, error) {
 
 // Remove deletes a snapshot and its rotated predecessor; missing files are
 // fine (a finished run cleans up whatever is there).
-func Remove(path string) {
-	RemoveOn(chaos.OS{}, path)
-}
-
-// RemoveOn is Remove on an explicit disk.
-func RemoveOn(disk chaos.Disk, path string) {
+func Remove(disk chaos.Disk, path string) {
 	disk.Remove(path)
 	disk.Remove(path + prevSuffix)
 }
@@ -170,17 +156,12 @@ func (h *fnv64) blob(b []byte) {
 // Saver returns a core.Limits.Checkpoint hook that persists every
 // checkpoint to path under the given fingerprint, capturing the injector's
 // stream position alongside when inj is non-nil.
-func Saver(path string, fingerprint uint64, inj *faultinject.Injector) func(*core.EngineState) error {
-	return SaverOn(chaos.OS{}, path, fingerprint, inj)
-}
-
-// SaverOn is Saver on an explicit disk.
-func SaverOn(disk chaos.Disk, path string, fingerprint uint64, inj *faultinject.Injector) func(*core.EngineState) error {
+func Saver(disk chaos.Disk, path string, fingerprint uint64, inj *faultinject.Injector) func(*core.EngineState) error {
 	return func(st *core.EngineState) error {
 		s := &Snapshot{Fingerprint: fingerprint, Engine: st}
 		if inj != nil {
 			s.Injector = inj.State()
 		}
-		return WriteFileOn(disk, path, s)
+		return WriteFile(disk, path, s)
 	}
 }

@@ -16,12 +16,12 @@ func writePair(t *testing.T, path string) (cur, prev uint64) {
 	t.Helper()
 	sPrev := sampleSnapshot()
 	sPrev.Fingerprint = 0x1111111111111111
-	if err := WriteFile(path, sPrev); err != nil {
+	if err := WriteFile(chaos.OS{}, path, sPrev); err != nil {
 		t.Fatal(err)
 	}
 	sCur := sampleSnapshot()
 	sCur.Fingerprint = 0x2222222222222222
-	if err := WriteFile(path, sCur); err != nil {
+	if err := WriteFile(chaos.OS{}, path, sCur); err != nil {
 		t.Fatal(err)
 	}
 	// WriteFile rotated the first snapshot to path.prev.
@@ -54,7 +54,7 @@ func TestReadLatestTruncationLadder(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := ReadLatest(path)
+		s, err := ReadLatest(chaos.OS{}, path)
 		if err != nil {
 			t.Fatalf("cut=%d/%d: ReadLatest failed: %v", cut, len(full), err)
 		}
@@ -90,7 +90,7 @@ func TestReadLatestTruncationBothFiles(t *testing.T) {
 		if err := os.WriteFile(path+".prev", full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, rerr := ReadLatest(path)
+		_, rerr := ReadLatest(chaos.OS{}, path)
 		var corrupt *CorruptError
 		if !errors.As(rerr, &corrupt) {
 			t.Fatalf("cut=%d: ReadLatest = %v; want *CorruptError", cut, rerr)
@@ -118,7 +118,7 @@ func TestReadLatestBitrotFallsBack(t *testing.T) {
 		disk := chaos.NewFS(chaos.OS{}, &chaos.Schedule{Seed: 1, Faults: []chaos.Fault{
 			{Component: "d", Kind: chaos.BitrotRead, Class: "read", N: 1, Arg: bit},
 		}}, "d")
-		s, err := ReadLatestOn(disk, path)
+		s, err := ReadLatest(disk, path)
 		if err != nil {
 			t.Fatalf("bit=%d: ReadLatest failed outright: %v", bit, err)
 		}
@@ -128,7 +128,7 @@ func TestReadLatestBitrotFallsBack(t *testing.T) {
 	}
 
 	// Control: the same disk with its fault drained reads the current file.
-	s, err := ReadLatest(path)
+	s, err := ReadLatest(chaos.OS{}, path)
 	if err != nil || s.Fingerprint != curFp {
 		t.Fatalf("clean read = %v, %v", s, err)
 	}

@@ -51,17 +51,17 @@ func (e *QuarantinedFileError) Error() string {
 
 func (e *QuarantinedFileError) Unwrap() error { return e.Err }
 
-// ScrubFileOn verifies one snapshot path at rest and repairs or
+// ScrubFile verifies one snapshot path at rest and repairs or
 // quarantines it. Reads go through disk.ReadFile so seeded bitrot faults
 // (chaos.BitrotRead) reach them; a fault on a scrub read can therefore
 // cause a false repair — the .prev promoted over a healthy primary — which
 // costs one checkpoint of resume progress and nothing else.
 //
-// Concurrent writers are tolerated by construction: WriteFileOn replaces
+// Concurrent writers are tolerated by construction: WriteFile replaces
 // the primary with a rename, and every scrub mutation is itself a rename,
 // so the loser of a race leaves either the writer's fresh snapshot or the
 // scrubber's repair — both decodable — never a torn file.
-func ScrubFileOn(disk chaos.Disk, path string) (ScrubOutcome, error) {
+func ScrubFile(disk chaos.Disk, path string) (ScrubOutcome, error) {
 	prev := path + prevSuffix
 	_, errMain := readOne(disk, path)
 	if errMain == nil {
@@ -92,7 +92,7 @@ func ScrubFileOn(disk chaos.Disk, path string) (ScrubOutcome, error) {
 	return ScrubQuarantined, &QuarantinedFileError{Path: path, Err: errMain}
 }
 
-// replaceFile atomically writes data at path WITHOUT the WriteFileOn
+// replaceFile atomically writes data at path WITHOUT the WriteFile
 // rotation: rotating here would shuffle the corrupt primary over the good
 // .prev the repair just came from, destroying the only healthy copy.
 func replaceFile(disk chaos.Disk, path string, data []byte) error {

@@ -31,14 +31,14 @@ func TestScrubFileHealthy(t *testing.T) {
 	cur, _ := writePair(t, path)
 	corruptFile(t, path+".prev")
 
-	got, err := ScrubFileOn(chaos.OS{}, path)
+	got, err := ScrubFile(chaos.OS{}, path)
 	if got != ScrubOK || err != nil {
-		t.Fatalf("ScrubFileOn = %v, %v; want ScrubOK, nil", got, err)
+		t.Fatalf("ScrubFile = %v, %v; want ScrubOK, nil", got, err)
 	}
 	if _, err := os.Stat(path + ".prev"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("corrupt .prev still present after scrub: %v", err)
 	}
-	s, err := ReadLatest(path)
+	s, err := ReadLatest(chaos.OS{}, path)
 	if err != nil || s.Fingerprint != cur {
 		t.Fatalf("primary damaged by scrub: %v (fp %x, want %x)", err, s.Fingerprint, cur)
 	}
@@ -52,11 +52,11 @@ func TestScrubFileRepairsFromPrev(t *testing.T) {
 	_, prevFp := writePair(t, path)
 	corruptFile(t, path)
 
-	got, err := ScrubFileOn(chaos.OS{}, path)
+	got, err := ScrubFile(chaos.OS{}, path)
 	if got != ScrubRepaired || err != nil {
-		t.Fatalf("ScrubFileOn = %v, %v; want ScrubRepaired, nil", got, err)
+		t.Fatalf("ScrubFile = %v, %v; want ScrubRepaired, nil", got, err)
 	}
-	s, err := ReadLatest(path)
+	s, err := ReadLatest(chaos.OS{}, path)
 	if err != nil {
 		t.Fatalf("repaired primary does not decode: %v", err)
 	}
@@ -74,9 +74,9 @@ func TestScrubFileQuarantines(t *testing.T) {
 	corruptFile(t, path)
 	corruptFile(t, path+".prev")
 
-	got, err := ScrubFileOn(chaos.OS{}, path)
+	got, err := ScrubFile(chaos.OS{}, path)
 	if got != ScrubQuarantined {
-		t.Fatalf("ScrubFileOn = %v, want ScrubQuarantined", got)
+		t.Fatalf("ScrubFile = %v, want ScrubQuarantined", got)
 	}
 	var qerr *QuarantinedFileError
 	if !errors.As(err, &qerr) || qerr.Path != path {
@@ -90,7 +90,7 @@ func TestScrubFileQuarantines(t *testing.T) {
 			t.Errorf("%s.quarantined missing: %v", p, err)
 		}
 	}
-	if _, err := ReadLatest(path); !errors.Is(err, os.ErrNotExist) {
+	if _, err := ReadLatest(chaos.OS{}, path); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("ReadLatest after quarantine = %v, want ErrNotExist (fresh start)", err)
 	}
 }
@@ -98,8 +98,8 @@ func TestScrubFileQuarantines(t *testing.T) {
 // TestScrubFileMissing: no primary is not an error — the cell simply has
 // no checkpoint yet.
 func TestScrubFileMissing(t *testing.T) {
-	got, err := ScrubFileOn(chaos.OS{}, filepath.Join(t.TempDir(), "absent.snap"))
+	got, err := ScrubFile(chaos.OS{}, filepath.Join(t.TempDir(), "absent.snap"))
 	if got != ScrubMissing || err != nil {
-		t.Fatalf("ScrubFileOn = %v, %v; want ScrubMissing, nil", got, err)
+		t.Fatalf("ScrubFile = %v, %v; want ScrubMissing, nil", got, err)
 	}
 }

@@ -20,13 +20,8 @@ import (
 // fingerprint. The bytes are re-encoded from the decoded form rather than
 // read raw, so what ships is exactly what validated — a file with trailing
 // garbage or a decodable-prefix tear never ships the damage onward.
-func LoadShippable(path string) ([]byte, uint64, error) {
-	return LoadShippableOn(chaos.OS{}, path)
-}
-
-// LoadShippableOn is LoadShippable on an explicit disk.
-func LoadShippableOn(disk chaos.Disk, path string) ([]byte, uint64, error) {
-	s, err := ReadLatestOn(disk, path)
+func LoadShippable(disk chaos.Disk, path string) ([]byte, uint64, error) {
+	s, err := ReadLatest(disk, path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -43,17 +38,12 @@ func Receive(data []byte) (*Snapshot, error) {
 // them atomically at path (WriteFile's temp+fsync+rename+rotate dance).
 // It returns the validated snapshot's fingerprint so the caller can index
 // the stored file without decoding twice.
-func Store(path string, data []byte) (uint64, error) {
-	return StoreOn(chaos.OS{}, path, data)
-}
-
-// StoreOn is Store on an explicit disk.
-func StoreOn(disk chaos.Disk, path string, data []byte) (uint64, error) {
+func Store(disk chaos.Disk, path string, data []byte) (uint64, error) {
 	s, err := Decode(data)
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: refusing to store wire bytes: %w", err)
 	}
-	if err := WriteFileOn(disk, path, s); err != nil {
+	if err := WriteFile(disk, path, s); err != nil {
 		return 0, err
 	}
 	return s.Fingerprint, nil
@@ -61,12 +51,7 @@ func StoreOn(disk chaos.Disk, path string, data []byte) (uint64, error) {
 
 // Exists reports whether any snapshot file (current or rotated) is present
 // at path — a cheap pre-check before paying for LoadShippable.
-func Exists(path string) bool {
-	return ExistsOn(chaos.OS{}, path)
-}
-
-// ExistsOn is Exists on an explicit disk.
-func ExistsOn(disk chaos.Disk, path string) bool {
+func Exists(disk chaos.Disk, path string) bool {
 	if _, err := disk.Stat(path); err == nil {
 		return true
 	}

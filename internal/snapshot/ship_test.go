@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fgpsim/internal/chaos"
 )
 
 // TestShipRoundtrip: load the latest on-disk snapshot as wire bytes, store
@@ -16,24 +18,24 @@ func TestShipRoundtrip(t *testing.T) {
 	src := filepath.Join(dir, "cell.snap")
 	dst := filepath.Join(dir, "shipped.snap")
 	s := sampleSnapshot()
-	if err := WriteFile(src, s); err != nil {
+	if err := WriteFile(chaos.OS{}, src, s); err != nil {
 		t.Fatal(err)
 	}
-	data, fp, err := LoadShippable(src)
+	data, fp, err := LoadShippable(chaos.OS{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp != s.Fingerprint {
 		t.Fatalf("shipped fingerprint %x, want %x", fp, s.Fingerprint)
 	}
-	storedFp, err := Store(dst, data)
+	storedFp, err := Store(chaos.OS{}, dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if storedFp != s.Fingerprint {
 		t.Fatalf("stored fingerprint %x, want %x", storedFp, s.Fingerprint)
 	}
-	got, err := ReadLatest(dst)
+	got, err := ReadLatest(chaos.OS{}, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestStoreRejectsCorruptWireBytes(t *testing.T) {
 		"garbage":   []byte("not a snapshot at all"),
 		"empty":     nil,
 	} {
-		if _, err := Store(dst, bad); err == nil {
+		if _, err := Store(chaos.OS{}, dst, bad); err == nil {
 			t.Errorf("%s wire bytes stored without error", name)
 		}
 		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
@@ -75,12 +77,12 @@ func TestLoadShippableFallsBackToPrev(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cell.snap")
 	s := sampleSnapshot()
-	if err := WriteFile(path, s); err != nil {
+	if err := WriteFile(chaos.OS{}, path, s); err != nil {
 		t.Fatal(err)
 	}
 	s2 := sampleSnapshot()
 	s2.Engine.Cycle = 999999
-	if err := WriteFile(path, s2); err != nil { // rotates s to .prev
+	if err := WriteFile(chaos.OS{}, path, s2); err != nil { // rotates s to .prev
 		t.Fatal(err)
 	}
 	// Tear the primary mid-file.
@@ -91,7 +93,7 @@ func TestLoadShippableFallsBackToPrev(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shipped, _, err := LoadShippable(path)
+	shipped, _, err := LoadShippable(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,23 +110,23 @@ func TestLoadShippableFallsBackToPrev(t *testing.T) {
 func TestExists(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cell.snap")
-	if Exists(path) {
+	if Exists(chaos.OS{}, path) {
 		t.Fatal("Exists on nothing")
 	}
-	if err := WriteFile(path, sampleSnapshot()); err != nil {
+	if err := WriteFile(chaos.OS{}, path, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !Exists(path) {
+	if !Exists(chaos.OS{}, path) {
 		t.Fatal("Exists misses the primary")
 	}
 	// Leave only the rotated file behind.
-	if err := WriteFile(path, sampleSnapshot()); err != nil {
+	if err := WriteFile(chaos.OS{}, path, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if !Exists(path) {
+	if !Exists(chaos.OS{}, path) {
 		t.Fatal("Exists misses the rotated predecessor")
 	}
 }

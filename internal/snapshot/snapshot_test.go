@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fgpsim/internal/branch"
+	"fgpsim/internal/chaos"
 	"fgpsim/internal/core"
 	"fgpsim/internal/faultinject"
 	"fgpsim/internal/ir"
@@ -126,16 +127,16 @@ func TestWriteFileRotation(t *testing.T) {
 
 	s1 := sampleSnapshot()
 	s1.Engine.Cycle = 100
-	if err := WriteFile(path, s1); err != nil {
+	if err := WriteFile(chaos.OS{}, path, s1); err != nil {
 		t.Fatal(err)
 	}
 	s2 := sampleSnapshot()
 	s2.Engine.Cycle = 200
-	if err := WriteFile(path, s2); err != nil {
+	if err := WriteFile(chaos.OS{}, path, s2); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := ReadLatest(path)
+	got, err := ReadLatest(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestWriteFileRotation(t *testing.T) {
 	if err := os.WriteFile(path, []byte("FGPSNAP\x01garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadLatest(path)
+	got, err = ReadLatest(chaos.OS{}, path)
 	if err != nil {
 		t.Fatalf("fallback read: %v", err)
 	}
@@ -155,14 +156,14 @@ func TestWriteFileRotation(t *testing.T) {
 		t.Fatalf("fallback cycle = %d, want previous (100)", got.Engine.Cycle)
 	}
 
-	Remove(path)
-	if _, err := ReadLatest(path); !errors.Is(err, os.ErrNotExist) {
+	Remove(chaos.OS{}, path)
+	if _, err := ReadLatest(chaos.OS{}, path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("after Remove, err = %v, want ErrNotExist", err)
 	}
 }
 
 func TestReadLatestMissing(t *testing.T) {
-	if _, err := ReadLatest(filepath.Join(t.TempDir(), "nope.snap")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := ReadLatest(chaos.OS{}, filepath.Join(t.TempDir(), "nope.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want ErrNotExist", err)
 	}
 }

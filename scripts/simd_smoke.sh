@@ -182,11 +182,13 @@ graceful_smoke() {
 	[[ "$EXIT" -eq 0 ]] || fail "daemon exited $EXIT on final SIGTERM"
 }
 
-# results_of STATUS: the byte-comparable tail of a sweep status — Results
-# renders last in the status JSON, so everything from `"results"` on is the
-# per-cell statistics, key-sorted by encoding/json.
+# results_of STATUS: the byte-comparable "results" object of a sweep
+# status — the per-cell statistics, key-sorted by encoding/json. A fabric
+# job's status also carries per-cell "digests" after it (DESIGN.md §17),
+# which a single-node status lacks, so the output stops at the end of
+# "results" and drops the comma that separates the two.
 results_of() {
-	sed -n '/"results":/,$p' <<<"$1"
+	sed -n '/^  "results":/,/^  }/{s/^  },$/  }/;p;}' <<<"$1"
 }
 
 CKPT_FLAGS=(-checkpoint-every 50000)
@@ -310,15 +312,18 @@ gen_fabric_sweep() {
 	} >"$path"
 }
 
-# start_worker NAME: one pull worker against $BASE; PID appended to
-# WORKER_PIDS and echoed. Concurrency 1 keeps the sweep slow enough that
-# the chaos (kills, restart) reliably lands while cells are in flight.
+# start_worker NAME: one pull worker against $BASE; PID left in
+# WORKER_PID and appended to WORKER_PIDS. Call it directly, not inside
+# $(...): the worker must be a child of this shell, or `wait` cannot reap
+# it and cleanup never learns its PID. Concurrency 1 keeps the sweep slow
+# enough that the chaos (kills, restart) reliably lands while cells are in
+# flight.
 start_worker() {
 	local name="$1"
 	"$WORK/simd" -worker "$BASE" -worker-id "$name" -heartbeat 250ms -concurrency 1 \
 		>"$WORK/worker-$name.log" 2>&1 &
-	WORKER_PIDS+=($!)
-	echo "${WORKER_PIDS[-1]}"
+	WORKER_PID=$!
+	WORKER_PIDS+=("$WORKER_PID")
 }
 
 FABRIC_FLAGS=(-coordinator -worker-dead-after 2s -steal-after 1s "${CKPT_FLAGS[@]}")
@@ -351,9 +356,12 @@ fabric_chaos_smoke() {
 	SIMD_PID=$!
 	wait_ready
 	local W1 W2 W3
-	W1=$(start_worker w1)
-	W2=$(start_worker w2)
-	W3=$(start_worker w3)
+	start_worker w1
+	W1=$WORKER_PID
+	start_worker w2
+	W2=$WORKER_PID
+	start_worker w3
+	W3=$WORKER_PID
 
 	local ID
 	ID=$(submit_sweep)
@@ -416,7 +424,7 @@ fabric_chaos_smoke() {
 
 	# w3 survived the restart (its stale lease gets 410, it re-registers);
 	# a replacement worker joins for the lost capacity.
-	start_worker w4 >/dev/null
+	start_worker w4
 
 	local RESULTS
 	RESULTS=$(results_of "$(wait_done "$ID" "$TICKS")")
