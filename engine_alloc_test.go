@@ -7,8 +7,8 @@ import (
 )
 
 // TestEngineAllocRegression bounds the dynamic engine's steady-state
-// allocation rate. With the structure-of-arrays stores and the intrusive
-// ready queues (internal/core/soa.go) a run allocates a few thousand
+// allocation rate. With the structure-of-arrays stores, block node ranges
+// and ready queues (internal/core/soa.go) a run allocates a few thousand
 // objects total — slab growth, rings, and map growth — which amortizes to
 // well under 0.2 allocations per simulated cycle. The seed engine
 // allocated ~10 per cycle, so these bounds leave generous headroom for

@@ -89,6 +89,7 @@ func (l Limits) checkpointArmed() bool {
 // captureState snapshots the dynamic engine. Callers guarantee quiescence:
 // the active window is empty and issue is not stalled.
 func (e *dynamicEngine) captureState() *EngineState {
+	e.foldBlockSizes()
 	st := &EngineState{
 		Cycle:     e.cycle,
 		Mem:       append([]byte(nil), e.env.mem...),

@@ -57,8 +57,7 @@ type dynamicEngine struct {
 	rename      [ir.NumRegs]renEntry
 	rs          *rsNode
 	issueBlock  bref       // block currently being issued into (nilRef = none)
-	issueIdx    int        // next node index in issueBlock
-	issueMeta   []uint8    // issueBlock's decoded metadata
+	issueTmpl   *blockTmpl // issueBlock's template
 	nextBlockID ir.BlockID // where issue continues once a new block opens
 	issueStall  bool       // stop issuing (halt seen, empty return stack, oracle fault)
 
@@ -66,8 +65,8 @@ type dynamicEngine struct {
 	trace  []ir.BlockID
 	cursor int
 
-	// Ready queues by function-unit class: intrusive min-heaps on seq, so
-	// the scheduler always picks the oldest ready node (soa.go).
+	// Ready queues by function-unit class: min-heaps on seq, so the
+	// scheduler always picks the oldest ready node (soa.go).
 	readyMem readyQ
 	readyALU readyQ
 
@@ -79,11 +78,17 @@ type dynamicEngine struct {
 	// liveNodes counts issued, unretired nodes (window occupancy stats).
 	liveNodes int64
 
+	// blockSizes histograms retired block sizes by node count. It is folded
+	// into st.BlockSizes (a map) at run end and before a snapshot, keeping
+	// the map update off the retire path.
+	blockSizes []int64
+
 	// Memory disambiguation state. unknownQ holds issued stores in seq
 	// order; executed entries leave lazily from the front, squashed ones
 	// eagerly from the back, so the head yields the minimum unknown-address
 	// store seq in O(1) amortized.
 	wb           map[int64][]nref // granule (addr>>2) -> executed stores, seq order
+	wbStores     int              // stores buffered in wb (loads skip the map at 0)
 	unknownQ     ndRing
 	blockedLoads []nref // loads waiting for disambiguation
 	ovScratch    []nref // loadValue's overlap workspace
@@ -204,7 +209,7 @@ func (e *dynamicEngine) newPredictor(hints map[ir.BlockID]bool) branch.Direction
 }
 
 // seqFloor is the oldest active block's entry sequence — no reference to a
-// node freed at or after it can still be held (soa.go's seq watermark).
+// range freed at or after it can still be held (soa.go's seq watermark).
 func (e *dynamicEngine) seqFloor() int64 {
 	if e.active.len() == 0 {
 		return noSeqFloor
@@ -287,6 +292,7 @@ func (e *dynamicEngine) run() (*RunResult, error) {
 		e.cycle++
 	}
 	e.st.Cycles = e.cycle
+	e.foldBlockSizes()
 	if e.ms.Cache != nil {
 		e.st.CacheHits = e.ms.Cache.Hits
 		e.st.CacheMisses = e.ms.Cache.Misses
@@ -302,18 +308,35 @@ func (e *dynamicEngine) completions() {
 		return
 	}
 	ns := &e.nodes
+	bs := &e.blocks
 	for _, nd := range nodes {
 		if ns.d[nd].status&nsSquashed != 0 {
 			continue
 		}
 		ns.setState(nd, nsDone)
-		e.blocks.nDone[ns.d[nd].blk]++
+		ab := ns.d[nd].blk
+		bs.nDone[ab]++
 		e.logDone(nd)
 		op := ns.d[nd].op
 		if op.IsStore() {
 			e.memEpoch++ // conservative-mode loads wait for store completion
 		}
-		// Wake consumers, then release the edge list back to the arena.
+		// Wake the block's issued consumers from the template (a block is
+		// squashed whole, so they are live), then the cross-block ones
+		// through the edge list, which goes back to the arena. Consumers
+		// not issued yet find this node done when they wire.
+		base, t, issued := bs.base[ab], bs.tmpl[ab], bs.issued[ab]
+		tn := &t.nodes[nd-base]
+		for _, j := range t.cons[tn.consLo:tn.consHi] {
+			if j >= issued {
+				break
+			}
+			c := &ns.d[base+j]
+			c.pending--
+			if c.pending == 0 && c.status&nsStateMask == nsWaiting {
+				e.makeReady(base + j)
+			}
+		}
 		for i := ns.d[nd].consHead; i != nilRef; i = ns.edges.next[i] {
 			c := ns.edges.to[i]
 			if ns.d[c].status&nsSquashed != 0 {
@@ -328,7 +351,7 @@ func (e *dynamicEngine) completions() {
 		// Harvest the rename entry: a completed producer's value is final,
 		// so the table keeps the value instead of the node. This bounds how
 		// long the table can reference the node — a requirement for
-		// recycling it after retirement.
+		// recycling its range after retirement.
 		if op.HasDst() {
 			if en := &e.rename[ns.d[nd].n.Dst]; en.prod == nd {
 				en.prod = nilRef
@@ -342,9 +365,9 @@ func (e *dynamicEngine) makeReady(nd nref) {
 	ns := &e.nodes
 	ns.setState(nd, nsReady)
 	if ns.d[nd].op.IsMem() {
-		e.readyMem.push(ns.qpos, ns.d[nd].seq, nd)
+		e.readyMem.push(ns.d[nd].seq, nd)
 	} else {
-		e.readyALU.push(ns.qpos, ns.d[nd].seq, nd)
+		e.readyALU.push(ns.d[nd].seq, nd)
 	}
 }
 
@@ -367,10 +390,14 @@ func (e *dynamicEngine) retire() {
 			}
 			e.commitStore(snd)
 		}
-		size := len(e.blocks.nodes[ab])
+		size := int(e.blocks.issued[ab])
 		e.st.RetiredNodes += int64(size)
 		e.liveNodes -= int64(size)
-		e.st.RecordBlock(size)
+		e.st.RetiredBlocks++
+		for size >= len(e.blockSizes) {
+			e.blockSizes = append(e.blockSizes, 0)
+		}
+		e.blockSizes[size]++
 		term := e.blocks.term[ab]
 		flags := e.blocks.flags[ab]
 		if term != nilRef && flags&abTermIsBranch != 0 {
@@ -397,27 +424,31 @@ func (e *dynamicEngine) retire() {
 		for e.unknownQ.len() > 0 && ns.state(e.unknownQ.front()) == nsDone {
 			e.unknownQ.popFront()
 		}
-		e.freeBlock(ab)
+		// Every node is done, so no wheel entry outlives the ring's span.
+		e.freeBlock(ab, e.cycle+timelineSlots)
 		// Retirement may make blocked syscalls non-speculative; the
 		// scheduler's merged pop loop reconsiders them next cycle without
 		// any re-queuing here.
 	}
 }
 
-// freeBlock recycles a retired or squashed block and its nodes. The nodes
-// enter quarantine under the current watermarks; the block itself is
-// immediately reusable (soa.go).
-func (e *dynamicEngine) freeBlock(ab bref) {
-	seqWM := e.seq
-	cycleWM := e.cycle + timelineSlots
-	for _, nd := range e.blocks.nodes[ab] {
-		wm := cycleWM
-		if d := e.nodes.d[nd].doneAt + 1; d > wm {
-			wm = d // overflow-wheel entries outlive the ring's span
-		}
-		e.nodes.put(nd, seqWM, wm)
-	}
+// freeBlock recycles a retired or squashed block and its node range. The
+// range enters quarantine under the current issue sequence and the given
+// cycle watermark; the block slot itself is immediately reusable (soa.go).
+func (e *dynamicEngine) freeBlock(ab bref, cycleWM int64) {
+	e.nodes.putRange(e.blocks.base[ab], len(e.blocks.tmpl[ab].nodes), e.seq, cycleWM)
 	e.blocks.put(ab)
+}
+
+// foldBlockSizes moves the engine-local block-size histogram into the run
+// statistics.
+func (e *dynamicEngine) foldBlockSizes() {
+	for size, n := range e.blockSizes {
+		if n != 0 {
+			e.st.BlockSizes[size] += n
+			e.blockSizes[size] = 0
+		}
+	}
 }
 
 func (e *dynamicEngine) hasPendingFault(ab bref) bool {
@@ -444,6 +475,7 @@ func (e *dynamicEngine) commitStore(snd nref) {
 			}
 		}
 	}
+	e.wbStores--
 	e.env.store(int32(ns.d[snd].addr), int64(ns.d[snd].msize), ns.d[snd].val)
 	e.ms.StoreTouch(int64(ns.d[snd].addr))
 }
@@ -475,18 +507,21 @@ func (e *dynamicEngine) schedule() {
 			if ns.d[nd].status&nsSquashed != 0 {
 				continue
 			}
-			e.readyMem.push(ns.qpos, ns.d[nd].seq, nd)
+			e.readyMem.push(ns.d[nd].seq, nd)
 		}
 	}
 
-	for total > 0 && memSlots > 0 && e.readyMem.len() > 0 {
-		nd := e.readyMem.minRef()
+	for total > 0 && memSlots > 0 {
+		nd, ok := e.readyMem.peek(ns.d)
+		if !ok {
+			break
+		}
 		if ns.d[nd].op.IsLoad() && !e.loadCanExecute(nd) {
-			e.readyMem.pop(ns.qpos)
+			e.readyMem.pop()
 			e.blockedLoads = append(e.blockedLoads, nd)
 			continue
 		}
-		e.readyMem.pop(ns.qpos)
+		e.readyMem.pop()
 		e.execute(nd)
 		memSlots--
 		total--
@@ -506,14 +541,17 @@ func (e *dynamicEngine) schedule() {
 		front := e.active.front()
 		if parked := e.blocks.sys[front]; len(parked) > 0 {
 			for _, nd := range parked {
-				e.readyALU.push(ns.qpos, ns.d[nd].seq, nd)
+				e.readyALU.push(ns.d[nd].seq, nd)
 			}
 			e.blocks.sys[front] = parked[:0]
 		}
 	}
-	for total > 0 && aluSlots > 0 && e.readyALU.len() > 0 {
-		nd := e.readyALU.minRef()
-		e.readyALU.pop(ns.qpos)
+	for total > 0 && aluSlots > 0 {
+		nd, ok := e.readyALU.peek(ns.d)
+		if !ok {
+			break
+		}
+		e.readyALU.pop()
 		if ns.d[nd].op == ir.Sys && !e.sysCanExecute(nd) {
 			blk := ns.d[nd].blk
 			e.blocks.sys[blk] = append(e.blocks.sys[blk], nd)
@@ -576,7 +614,8 @@ func (e *dynamicEngine) sysCanExecute(nd nref) bool {
 		return false
 	}
 	seq := ns.d[nd].seq
-	for _, other := range e.blocks.nodes[blk] {
+	lo, hi := e.blocks.nodes(blk)
+	for other := lo; other < hi; other++ {
 		if ns.d[other].seq >= seq {
 			break
 		}
@@ -634,6 +673,7 @@ func (e *dynamicEngine) execute(nd nref) {
 		ns.d[nd].addr = uint32(e.env.clampAddr(a+int32(n.Imm), size))
 		ns.d[nd].val = b
 		e.memEpoch++
+		e.wbStores++
 		for _, g := range granulesOf(int64(ns.d[nd].addr), size) {
 			if g >= 0 {
 				e.wb[g] = e.insertBySeq(e.wb[g], nd)
@@ -703,20 +743,22 @@ func (e *dynamicEngine) loadValue(nd nref) (int32, bool) {
 	// load's granules appears in both granule lists; it is taken from the
 	// list of its own first granule (gs[0], necessarily) and skipped in the
 	// second, so each store contributes once.
-	gs := granulesOf(addr, size)
 	overlaps := e.ovScratch[:0]
-	for gi, g := range gs {
-		if g < 0 {
-			continue
-		}
-		for _, snd := range e.wb[g] {
-			if ns.d[snd].seq >= seq || ns.d[snd].status&nsSquashed != 0 {
+	if e.wbStores > 0 {
+		gs := granulesOf(addr, size)
+		for gi, g := range gs {
+			if g < 0 {
 				continue
 			}
-			if gi == 1 && int64(ns.d[snd].addr>>2) == gs[0] {
-				continue
+			for _, snd := range e.wb[g] {
+				if ns.d[snd].seq >= seq || ns.d[snd].status&nsSquashed != 0 {
+					continue
+				}
+				if gi == 1 && int64(ns.d[snd].addr>>2) == gs[0] {
+					continue
+				}
+				overlaps = append(overlaps, snd)
 			}
-			overlaps = append(overlaps, snd)
 		}
 	}
 	// Apply in seq order (wb lists are sorted; merging two granules needs

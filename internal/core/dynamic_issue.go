@@ -15,6 +15,9 @@ func (e *dynamicEngine) issue() {
 	if e.issueStall {
 		return
 	}
+	// The window's front cannot change during issue (retire and squash run
+	// outside it), so one seq floor serves every block opened this cycle.
+	seqFloor := e.seqFloor()
 	memSlots, aluSlots, total := e.imem, e.ialu, e.itotal
 	for total > 0 {
 		if e.issueBlock == nilRef {
@@ -30,21 +33,15 @@ func (e *dynamicEngine) issue() {
 			if e.active.len() >= e.window {
 				return // window full: cannot activate another basic block
 			}
-			e.openBlock(e.nextBlockID)
+			e.openBlock(e.nextBlockID, seqFloor)
 		}
 		ab := e.issueBlock
-		b := e.blocks.xb[ab]
-		isTerm := e.issueIdx == len(b.Body)
-		var n *ir.Node
-		if isTerm {
-			n = &b.Term
-		} else {
-			n = &b.Body[e.issueIdx]
-		}
-		meta := e.issueMeta[e.issueIdx]
+		idx := e.blocks.issued[ab]
+		tn := &e.issueTmpl.nodes[idx]
+		isTerm := int(idx) == len(e.issueTmpl.nodes)-1
 		// Strict in-order issue: when the next node's slot class is
 		// exhausted, issue stops for this cycle.
-		if meta&metaMem != 0 {
+		if tn.meta&metaMem != 0 {
 			if memSlots == 0 {
 				return
 			}
@@ -56,8 +53,7 @@ func (e *dynamicEngine) issue() {
 			aluSlots--
 		}
 		total--
-		e.issueNode(ab, n, meta, isTerm)
-		e.issueIdx++
+		e.issueNode(ab, idx, tn, isTerm)
 		if isTerm {
 			e.blocks.flags[ab] |= abIssuedAll
 			e.issueBlock = nilRef
@@ -73,15 +69,19 @@ func (e *dynamicEngine) issue() {
 	}
 }
 
-// openBlock activates a new basic block for issue, checkpointing the
-// speculative state needed to squash back to its entry.
-func (e *dynamicEngine) openBlock(id ir.BlockID) {
+// openBlock activates a new basic block for issue, reserving its node range
+// and checkpointing the speculative state needed to squash back to its
+// entry.
+func (e *dynamicEngine) openBlock(id ir.BlockID, seqFloor int64) {
 	if e.fill != nil {
 		id = e.fillRedirect(id)
 	}
 	ab := e.blocks.alloc()
 	bs := &e.blocks
+	t := e.dec.of(e.img.Prog, id)
 	bs.xb[ab] = e.img.Prog.Block(id)
+	bs.tmpl[ab] = t
+	bs.base[ab] = e.nodes.allocRange(len(t.nodes), seqFloor, e.cycle)
 	bs.seq0[ab] = e.seq
 	bs.rsSnap[ab] = e.rs
 	bs.cursorSnap[ab] = int32(e.cursor)
@@ -106,18 +106,26 @@ func (e *dynamicEngine) openBlock(id ir.BlockID) {
 	}
 	e.active.pushBack(ab)
 	e.issueBlock = ab
-	e.issueIdx = 0
-	e.issueMeta = e.dec.of(e.img.Prog, id)
+	e.issueTmpl = t
 }
 
-// wireOperand resolves a source register against the rename table,
-// returning either an immediate value or a producer link.
-// wireOperand resolves operand register r for node nd (whose slot is sl —
-// the arena is not grown here, so the pointer stays valid): a value if the
-// producer is retired or done, else a consumer edge on the in-flight
-// producer plus a pending count on nd.
-func (e *dynamicEngine) wireOperand(nd nref, sl *nodeSlot, r ir.Reg) (src nref, val int32) {
-	if r == ir.NoReg {
+// wireOperand resolves one operand of node nd (whose slot is sl; the node
+// store grows only when a block opens, so the pointer stays valid). prod is
+// the template's in-block producer index for the operand and r its
+// register. The result is a value if the producer is retired or done,
+// else a producer link plus a pending count on nd. An in-block producer
+// wakes nd from the template at completion; one from an older block gets a
+// consumer edge in the arena.
+func (e *dynamicEngine) wireOperand(nd nref, sl *nodeSlot, base nref, prod int32, r ir.Reg) (src nref, val int32) {
+	if prod >= 0 {
+		p := base + prod
+		if ps := &e.nodes.d[p]; ps.status&nsStateMask == nsDone {
+			return nilRef, ps.val
+		}
+		sl.pending++
+		return p, 0
+	}
+	if prod == tmplNone {
 		return nilRef, 0
 	}
 	en := &e.rename[r]
@@ -134,22 +142,27 @@ func (e *dynamicEngine) wireOperand(nd nref, sl *nodeSlot, r ir.Reg) (src nref, 
 	return en.prod, 0
 }
 
-func (e *dynamicEngine) issueNode(ab bref, n *ir.Node, meta uint8, isTerm bool) {
-	nd := e.nodes.alloc(e.seqFloor(), e.cycle)
+// issueNode issues node idx of block ab (template entry tn) into slot
+// base+idx of the block's range.
+func (e *dynamicEngine) issueNode(ab bref, idx int32, tn *tmplNode, isTerm bool) {
+	base := e.blocks.base[ab]
+	nd := base + idx
+	n := tn.n
+	meta := tn.meta
 	sl := &e.nodes.d[nd]
 	sl.n = n
 	sl.op = n.Op
 	sl.blk = ab
 	sl.seq = e.seq
-	// Recycled slots are not zeroed (nodeStore.alloc); clear the two fields
+	// Recycled slots are not zeroed (soa.go); clear the two fields
 	// wireOperand and the scheduler read before this issue writes them.
 	sl.status = 0
 	sl.pending = 0
 	e.seq++
 	e.liveNodes++
-	sl.srcA, sl.valA = e.wireOperand(nd, sl, n.A)
-	sl.srcB, sl.valB = e.wireOperand(nd, sl, n.B)
-	e.blocks.nodes[ab] = append(e.blocks.nodes[ab], nd)
+	sl.srcA, sl.valA = e.wireOperand(nd, sl, base, tn.prodA, n.A)
+	sl.srcB, sl.valB = e.wireOperand(nd, sl, base, tn.prodB, n.B)
+	e.blocks.issued[ab] = idx + 1
 
 	switch {
 	case meta&metaStore != 0:
@@ -380,7 +393,8 @@ func (e *dynamicEngine) processFault(nd nref) {
 	// uninjected run's.
 	if e.injLive > 0 {
 		suspect, unsafe := false, false
-		for _, x := range e.blocks.nodes[ab] {
+		lo, hi := e.blocks.nodes(ab)
+		for x := lo; x < hi; x++ {
 			if ns.d[x].status&nsInjected != 0 {
 				suspect = true
 			}
@@ -421,20 +435,22 @@ func (e *dynamicEngine) blockIndex(ab bref) int {
 
 // squashFrom discards active[from:]: their executed nodes become the
 // redundant work Figure 6 measures, their write-buffer entries and
-// disambiguation state vanish, and every engine-side reference to their
-// nodes is unlinked eagerly (ready queues, blocked lists, offender lists,
-// disambiguation queue) so the nodes can enter the recycling quarantine.
-// Only the completion timeline may still reference them — its entries are
-// skipped via the squashed flag, and the quarantine's cycle watermark keeps
-// the nodes unreused until the wheel has provably passed them.
+// disambiguation state vanish, the blocked-load, offender and
+// disambiguation lists drop their nodes eagerly, and each block's node
+// range enters the recycling quarantine as one entry. Ready-queue entries
+// stay behind as tombstones that peek discards, and the completion timeline's
+// entries are skipped via the squashed flag; the range's cycle watermark
+// keeps it unreused until the wheel has provably passed them.
 func (e *dynamicEngine) squashFrom(from int) {
 	e.logSquash(e.active.len() - from)
 	ns := &e.nodes
 	firstSeq := e.blocks.seq0[e.active.at(from)]
 	for i := from; i < e.active.len(); i++ {
 		ab := e.active.at(i)
-		e.liveNodes -= int64(len(e.blocks.nodes[ab]))
-		for _, nd := range e.blocks.nodes[ab] {
+		lo, hi := e.blocks.nodes(ab)
+		e.liveNodes -= int64(hi - lo)
+		cycleWM := e.cycle + timelineSlots
+		for nd := lo; nd < hi; nd++ {
 			ns.d[nd].status |= nsSquashed
 			if ns.d[nd].status&nsInjected != 0 {
 				// An injected load squashed with its block needs no
@@ -447,20 +463,18 @@ func (e *dynamicEngine) squashFrom(from int) {
 			if st == nsExecuting || st == nsDone {
 				e.st.DiscardedNodes++
 			}
-			if ns.qpos[nd] != 0 {
-				if ns.d[nd].op.IsMem() {
-					e.readyMem.remove(ns.qpos, nd)
-				} else {
-					e.readyALU.remove(ns.qpos, nd)
-				}
-			}
 			if ns.d[nd].op.IsStore() {
 				e.memEpoch++ // a squashed store may have been blocking a load
 				if st == nsExecuting || st == nsDone {
 					e.removeWBEntries(nd)
 				}
 			}
+			if d := ns.d[nd].doneAt + 1; d > cycleWM {
+				cycleWM = d // overflow-wheel entries outlive the ring's span
+			}
+			ns.edges.freeList(&ns.d[nd].consHead)
 		}
+		e.freeBlock(ab, cycleWM)
 	}
 	// Squashed stores are exactly the disambiguation queue's tail (issue
 	// order); discard them.
@@ -470,9 +484,6 @@ func (e *dynamicEngine) squashFrom(from int) {
 	e.blockedLoadGhosts += e.filterSquashed(&e.blockedLoads)
 	e.filterSquashed(&e.mispredicted)
 	e.filterSquashed(&e.pendingFaults)
-	for i := from; i < e.active.len(); i++ {
-		e.freeBlock(e.active.at(i))
-	}
 	e.active.truncate(from)
 }
 
@@ -505,4 +516,5 @@ func (e *dynamicEngine) removeWBEntries(snd nref) {
 			}
 		}
 	}
+	e.wbStores--
 }

@@ -90,8 +90,9 @@ func (e *dynamicEngine) CorruptValue(pos int, r uint64) (string, bool) {
 	}
 	ab := e.active.at(pos)
 	ns := &e.nodes
+	lo, hi := e.blocks.nodes(ab)
 	cands := 0
-	for _, nd := range e.blocks.nodes[ab] {
+	for nd := lo; nd < hi; nd++ {
 		if ns.state(nd) == nsDone && ns.d[nd].op.IsPure() {
 			cands++
 		}
@@ -101,7 +102,7 @@ func (e *dynamicEngine) CorruptValue(pos int, r uint64) (string, bool) {
 	}
 	pick := int(r % uint64(cands))
 	target := nilRef
-	for _, nd := range e.blocks.nodes[ab] {
+	for nd := lo; nd < hi; nd++ {
 		if ns.state(nd) == nsDone && ns.d[nd].op.IsPure() {
 			if pick == 0 {
 				target = nd
@@ -170,7 +171,8 @@ func (e *dynamicEngine) safeSquashPos(pos int) int {
 	}
 	ns := &e.nodes
 	for i := pos; i < n; i++ {
-		for _, nd := range e.blocks.nodes[e.active.at(i)] {
+		lo, hi := e.blocks.nodes(e.active.at(i))
+		for nd := lo; nd < hi; nd++ {
 			if st := ns.state(nd); ns.d[nd].op == ir.Sys && (st == nsExecuting || st == nsDone) {
 				pos = i + 1
 			}
@@ -211,8 +213,9 @@ func (e *dynamicEngine) injectedSquash(pos int, ab bref) {
 // retire this cycle.
 func (e *dynamicEngine) verifyInjected(ab bref) bool {
 	ns := &e.nodes
+	lo, hi := e.blocks.nodes(ab)
 	bad := int64(0)
-	for _, nd := range e.blocks.nodes[ab] {
+	for nd := lo; nd < hi; nd++ {
 		if ns.d[nd].status&nsInjected == 0 {
 			continue
 		}
@@ -227,7 +230,7 @@ func (e *dynamicEngine) verifyInjected(ab bref) bool {
 	if bad == 0 {
 		return true
 	}
-	for _, nd := range e.blocks.nodes[ab] {
+	for nd := lo; nd < hi; nd++ {
 		if ns.d[nd].op == ir.Sys {
 			if e.runErr == nil {
 				e.runErr = &UnrecoverableFaultError{

@@ -86,36 +86,43 @@ func (l *PipeLog) String() string {
 	return sb.String()
 }
 
-// Hooks called by the dynamic engine (no-ops when the log is nil).
+// Hooks called by the dynamic engine. Each is a nil test small enough to
+// inline at its call site; the recording itself stays out of line, so a
+// run without a log pays one predictable branch per event.
 
 func (e *dynamicEngine) logIssue(nd nref) {
 	if e.pipe != nil {
-		e.pipe.add(e.cycle, PipeIssue, e.nodes.d[nd].seq, e.nodes.d[nd].n.String())
+		e.logNode(PipeIssue, nd)
 	}
 }
 
 func (e *dynamicEngine) logExec(nd nref) {
 	if e.pipe != nil {
-		e.pipe.add(e.cycle, PipeExec, e.nodes.d[nd].seq, e.nodes.d[nd].n.String())
+		e.logNode(PipeExec, nd)
 	}
 }
 
 func (e *dynamicEngine) logDone(nd nref) {
 	if e.pipe != nil {
-		e.pipe.add(e.cycle, PipeDone, e.nodes.d[nd].seq, e.nodes.d[nd].n.String())
-	}
-}
-
-func (e *dynamicEngine) logRetire(ab bref) {
-	if e.pipe != nil {
-		e.pipe.add(e.cycle, PipeRetire, e.blocks.seq0[ab],
-			fmt.Sprintf("block b%d (%d nodes)", e.blocks.xb[ab].ID, len(e.blocks.nodes[ab])))
+		e.logNode(PipeDone, nd)
 	}
 }
 
 func (e *dynamicEngine) logOffender(kind PipeKind, nd nref) {
 	if e.pipe != nil {
-		e.pipe.add(e.cycle, kind, e.nodes.d[nd].seq, e.nodes.d[nd].n.String())
+		e.logNode(kind, nd)
+	}
+}
+
+// logNode records a node event.
+func (e *dynamicEngine) logNode(kind PipeKind, nd nref) {
+	e.pipe.add(e.cycle, kind, e.nodes.d[nd].seq, e.nodes.d[nd].n.String())
+}
+
+func (e *dynamicEngine) logRetire(ab bref) {
+	if e.pipe != nil {
+		e.pipe.add(e.cycle, PipeRetire, e.blocks.seq0[ab],
+			fmt.Sprintf("block b%d (%d nodes)", e.blocks.xb[ab].ID, e.blocks.issued[ab]))
 	}
 }
 

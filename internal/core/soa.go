@@ -11,33 +11,53 @@ import (
 // indices (nref/bref) into parallel slices owned by nodeStore/blockStore:
 // one slice per field, so the scheduler's hot loops (status tests, sequence
 // compares, wakeups) walk small contiguous arrays instead of chasing
-// pointer-linked dnode graphs. Consumer edges live in a shared arena
-// (edgeArena) as intrusive singly linked lists; the ready queues, the
-// completion event wheel, the write buffer, and the disambiguation queue
-// are all keyed by node index.
+// pointer-linked dnode graphs. The engine fetches, checkpoints, squashes and
+// retires whole basic blocks, and the stores work at the same grain:
 //
-// Recycling a node index is only safe once no stale reference to its
-// previous incarnation can be dereferenced. Eager cleanup removes squashed
-// nodes from the ready queues, the blocked lists, the offender lists, and
-// the disambiguation queue at squash time, and retirement drains the
+//   - openBlock reserves a contiguous node-slot range as long as the
+//     block's template (dec.go), and node i of the block lives at slot
+//     base+i. A block is its base plus an issued count, so "the block's
+//     nodes" is an index range, same-block producers and consumers are
+//     base-relative, and freeing a block is one range entry, not one per
+//     node.
+//   - Cross-block consumer edges live in a shared arena (edgeArena) as
+//     intrusive singly linked lists; same-block edges come from the
+//     template and never touch the arena.
+//   - The ready queues hold (seq, ref) entries. Squash leaves them in place
+//     as tombstones, and peek discards an entry whose slot has since been
+//     squashed or reissued under another seq. The intrusive heap this
+//     replaces kept a per-node heap position, rewritten on every sift, so
+//     squash could unlink entries. The heaps are small (3.7 entries on
+//     average at pop on the deep-window sweep), and few squashed nodes
+//     are queued when their block goes (most wait on operands or have
+//     executed): 22k of that sweep's 32.7M pops meet a tombstone.
+//     Dropping the position column and the unlinking costs less than
+//     those few extra pops.
+//
+// Recycling a node range is only safe once no stale reference to its
+// previous incarnation can be dereferenced. Squash clears the blocked-load,
+// offender and disambiguation lists eagerly, and retirement drains the
 // disambiguation queue's done prefix; the remaining references (rename
-// snapshots of still-active blocks, producer/consumer edges, and the
-// completion wheel) are bounded by two watermarks:
+// snapshots of still-active blocks, cross-block consumer edges and the
+// completion wheel) are bounded by two watermarks per freed range:
 //
 //   - seqWM: the engine's issue sequence at free time. Every block that
-//     could hold a snapshot or producer/consumer reference to the freed
-//     node was opened before this point, so the node stays quarantined
-//     until the oldest active block is younger than seqWM.
-//   - cycleWM: free cycle + timelineSlots (or the node's completion cycle,
-//     whichever is later — overflow-wheel entries can outlive the ring). A
-//     squashed node's wheel entry fires (and is skipped via its squashed
-//     flag) before this point, so the node stays unreused until the wheel
-//     has provably passed it.
+//     could hold a snapshot or consumer-edge reference to the freed nodes
+//     was opened before this point, so the range stays quarantined until
+//     the oldest active block is younger than seqWM.
+//   - cycleWM: max(free cycle + timelineSlots, latest completion + 1) over
+//     the range's issued nodes — overflow-wheel entries can outlive the
+//     ring. A squashed node's wheel entry fires (and is skipped via its
+//     squashed flag) before this point, so the range stays unreused until
+//     the wheel has provably passed it.
 //
+// A ready-queue tombstone needs neither watermark: until its slot is
+// reissued it still carries the squashed flag, and afterwards a new seq.
 // seqWM and the common-case cycleWM are nondecreasing over a run; a FIFO
-// quarantine queue checked at allocation time implements the gate (an
-// occasional larger per-node cycleWM only delays promotions behind it,
-// which is conservative).
+// quarantine queue checked when a block opens implements the gate (an
+// occasional larger cycleWM only delays promotions behind it, which is
+// conservative). Promoted ranges are kept per length and reused only by a
+// block of exactly that length, so ranges never split or merge.
 
 // nref indexes a node's slots in a nodeStore; bref indexes a block's slots
 // in a blockStore. nilRef marks "none" in either space.
@@ -80,7 +100,7 @@ type rsNode struct {
 }
 
 // noSeqFloor is the seq floor used when no block is active: every
-// quarantined node's seq watermark is satisfied.
+// quarantined range's seq watermark is satisfied.
 const noSeqFloor = int64(math.MaxInt64)
 
 // slabSize is the rsNode slab granularity.
@@ -91,10 +111,7 @@ const slabSize = 256
 // nodeSlot packs the per-node fields that issue, scheduling, execution, and
 // completion touch together into one 64-byte record — exactly one cache
 // line — so the common case (issue writes a whole node, completion reads
-// one) costs a single line instead of a line per column. qpos stays a
-// separate column: the
-// ready-heap sifts update positions of many unrelated nodes, and sixteen
-// positions per line beat one.
+// one) costs a single line instead of a line per column.
 type nodeSlot struct {
 	n      *ir.Node // source node (immediates, targets, rendering)
 	seq    int64
@@ -105,7 +122,8 @@ type nodeSlot struct {
 	pending    int32
 	val        int32
 
-	// consHead heads the node's consumer edge list in the shared arena.
+	// consHead heads the node's cross-block consumer edge list in the
+	// shared arena.
 	consHead int32
 	blk      bref
 	addr     uint32 // memory effective address (valid once executing)
@@ -114,91 +132,95 @@ type nodeSlot struct {
 	msize    int8 // access width (valid once executing)
 }
 
-// nodeStore holds every in-flight node, indexed by nref: the packed hot
-// record plus the intrusive ready-queue position column. Slots are recycled
-// through a watermark-gated quarantine feeding a free list, so the backing
-// arrays stop growing once the window's working set has been seen.
+// nodeStore holds every in-flight node, indexed by nref, in per-block
+// contiguous ranges. Freed ranges pass through a watermark-gated
+// quarantine into per-length free lists, so the backing array stops
+// growing once the window's working set of block lengths has been seen.
 type nodeStore struct {
-	d    []nodeSlot
-	qpos []int32 // ready-queue heap position + 1 (0 = not queued)
+	d []nodeSlot
 
 	edges edgeArena
 
-	free       []nref
-	quarantine pfQueue
+	free       [][]nref // free range bases, indexed by range length
+	quarantine rangeQueue
 
 	// gateSeq/gateCycle mirror the quarantine head's watermarks (MaxInt64
-	// when it is empty) so the per-alloc promotion check is two compares
+	// when it is empty) so the per-block promotion check is two compares
 	// against the store itself instead of a ring-buffer load. The zero
-	// value (0,0) is conservative: the first alloc walks the empty queue
-	// once and parks the gates at MaxInt64.
+	// value (0,0) is conservative: the first allocation walks the empty
+	// queue once and parks the gates at MaxInt64.
 	gateSeq   int64
 	gateCycle int64
 }
 
-func (s *nodeStore) cap() int { return len(s.d) }
-
-// alloc returns a reset node index. seqFloor is the oldest active block's
-// seq0 (noSeqFloor when the window is empty) and cycle the current cycle;
-// together they decide which quarantined slots are safe to promote.
-func (s *nodeStore) alloc(seqFloor, cycle int64) nref {
-	if len(s.free) == 0 && s.gateSeq <= seqFloor && s.gateCycle <= cycle {
-		for s.quarantine.n > 0 {
-			h := s.quarantine.front()
-			if h.seqWM > seqFloor || h.cycleWM > cycle {
-				break
-			}
-			s.free = append(s.free, h.ref)
-			s.quarantine.popFront()
-		}
-		if s.quarantine.n > 0 {
-			h := s.quarantine.front()
-			s.gateSeq, s.gateCycle = h.seqWM, h.cycleWM
-		} else {
-			s.gateSeq, s.gateCycle = math.MaxInt64, math.MaxInt64
+// allocRange returns the base of n contiguous node slots for a block.
+// seqFloor is the oldest active block's seq0 (noSeqFloor when the window
+// is empty) and cycle the current cycle; together they decide which
+// quarantined ranges are safe to promote.
+func (s *nodeStore) allocRange(n int, seqFloor, cycle int64) nref {
+	if (n >= len(s.free) || len(s.free[n]) == 0) && s.gateSeq <= seqFloor && s.gateCycle <= cycle {
+		s.promote(seqFloor, cycle)
+	}
+	if n < len(s.free) {
+		if k := len(s.free[n]); k > 0 {
+			base := s.free[n][k-1]
+			s.free[n] = s.free[n][:k-1]
+			return base
 		}
 	}
-	if n := len(s.free); n > 0 {
-		nd := s.free[n-1]
-		s.free = s.free[:n-1]
-		return nd
+	base := nref(len(s.d))
+	for i := 0; i < n; i++ {
+		s.d = append(s.d, nodeSlot{srcA: nilRef, srcB: nilRef, blk: nilRef, consHead: nilRef})
 	}
-	return s.grow()
+	return base
 }
 
-// grow appends one fresh slot.
-func (s *nodeStore) grow() nref {
-	nd := nref(len(s.d))
-	s.d = append(s.d, nodeSlot{srcA: nilRef, srcB: nilRef, blk: nilRef, consHead: nilRef})
-	s.qpos = append(s.qpos, 0)
-	return nd
+// promote moves every quarantined range whose watermarks are met, from the
+// head of the FIFO, onto the free list for its length.
+func (s *nodeStore) promote(seqFloor, cycle int64) {
+	for s.quarantine.n > 0 {
+		h := s.quarantine.front()
+		if h.seqWM > seqFloor || h.cycleWM > cycle {
+			break
+		}
+		for int(h.n) >= len(s.free) {
+			s.free = append(s.free, nil)
+		}
+		s.free[h.n] = append(s.free[h.n], h.base)
+		s.quarantine.popFront()
+	}
+	if s.quarantine.n > 0 {
+		h := s.quarantine.front()
+		s.gateSeq, s.gateCycle = h.seqWM, h.cycleWM
+	} else {
+		s.gateSeq, s.gateCycle = math.MaxInt64, math.MaxInt64
+	}
 }
 
-// put quarantines a freed node under the given watermarks, releasing its
-// consumer edges back to the arena (nothing walks them after free: a done
-// producer's list was drained at completion, a squashed one's is never
-// visited).
-func (s *nodeStore) put(nd nref, seqWM, cycleWM int64) {
-	s.edges.freeList(&s.d[nd].consHead)
+// putRange quarantines a freed block's n-slot range under the given
+// watermarks. The caller has already released the issued nodes' consumer
+// edge lists (a done producer's at completion, a squashed one's at
+// squash).
+func (s *nodeStore) putRange(base nref, n int, seqWM, cycleWM int64) {
 	if s.quarantine.n == 0 {
 		s.gateSeq, s.gateCycle = seqWM, cycleWM
 	}
-	s.quarantine.pushBack(pendingFree{ref: nd, seqWM: seqWM, cycleWM: cycleWM})
+	s.quarantine.pushBack(pendingRange{base: base, n: int32(n), seqWM: seqWM, cycleWM: cycleWM})
 }
 
-// Recycled slots are not zeroed on alloc: issueNode rewrites every field the
-// engine reads before use (n/op/blk/seq at issue, status and pending before
+// Recycled slots are not zeroed: issueNode rewrites every field the engine
+// reads before use (n/op/blk/seq at issue, status and pending before
 // wiring, src/val at wiring), and the remaining columns carry their own
-// invariants across a free/alloc cycle — qpos is 0 whenever a node is freed
-// (queued nodes are removed by squash, done nodes are never queued),
-// consHead is nilRef (put released the edge list), and a stale doneAt is
-// below the current cycle by the quarantine's cycle watermark, so freeBlock's
+// invariants across a free/reuse cycle — consHead is nilRef (completion
+// or squash released the edge list), and a stale doneAt is below the
+// current cycle by the quarantine's cycle watermark, so squashFrom's
 // `max(cycle+timelineSlots, doneAt+1)` computes the same watermark a zeroed
-// slot would. soa_test.go pins these invariants.
+// slot would. Until a slot is reissued it keeps its old seq and status, so
+// a ready-queue tombstone for its previous incarnation still reads as
+// squashed. soa_test.go pins these invariants.
 
 func (s *nodeStore) state(nd nref) nstate       { return s.d[nd].status & nsStateMask }
 func (s *nodeStore) setState(nd nref, v nstate) { s.d[nd].status = s.d[nd].status&^nsStateMask | v }
-func (s *nodeStore) squashed(nd nref) bool      { return s.d[nd].status&nsSquashed != 0 }
 
 // faulted reports whether a done Assert's condition disagrees with its
 // expectation.
@@ -209,10 +231,10 @@ func (s *nodeStore) faulted(nd nref) bool {
 
 // ---------- consumer edge arena ----------
 
-// edgeArena stores every node's consumer list as an intrusive singly linked
-// list in two parallel slices, recycled through a free list. Wakeup order
-// does not matter (readiness is re-ordered by the seq-keyed heaps), so
-// lists are prepended in O(1).
+// edgeArena stores every node's cross-block consumer list as an intrusive
+// singly linked list in two parallel slices, recycled through a free list.
+// Wakeup order does not matter (readiness is re-ordered by the seq-keyed
+// heaps), so lists are prepended in O(1).
 type edgeArena struct {
 	to   []nref
 	next []int32
@@ -254,39 +276,39 @@ func (a *edgeArena) freeList(head *int32) {
 
 // ---------- quarantine ----------
 
-// pendingFree is one quarantined node slot awaiting its watermarks.
-type pendingFree struct {
-	ref     nref
+// pendingRange is one quarantined block range awaiting its watermarks.
+type pendingRange struct {
+	base    nref
+	n       int32
 	seqWM   int64 // reusable once the oldest active block's seq0 reaches this
 	cycleWM int64 // ... and the cycle counter reaches this
 }
 
-// pfQueue is the FIFO behind the node quarantine.
-type pfQueue struct {
-	buf  []pendingFree
+// rangeQueue is the FIFO behind the range quarantine.
+type rangeQueue struct {
+	buf  []pendingRange
 	head int
 	n    int
 }
 
 // The ring capacity is always a power of two (grown by doubling from 16),
-// so wraparound is a mask, not a division — these run once per node
-// alloc/free, squarely on the engine's hot path.
+// so wraparound is a mask, not a division.
 
-func (r *pfQueue) front() pendingFree { return r.buf[r.head] }
+func (r *rangeQueue) front() pendingRange { return r.buf[r.head] }
 
-func (r *pfQueue) pushBack(pf pendingFree) {
+func (r *rangeQueue) pushBack(pr pendingRange) {
 	if r.n == len(r.buf) {
-		nb := make([]pendingFree, max(2*len(r.buf), 16))
+		nb := make([]pendingRange, max(2*len(r.buf), 16))
 		for i := 0; i < r.n; i++ {
 			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
 		r.buf, r.head = nb, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = pf
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = pr
 	r.n++
 }
 
-func (r *pfQueue) popFront() {
+func (r *rangeQueue) popFront() {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 }
@@ -304,11 +326,13 @@ const (
 // blockStore holds every active (issued, unretired) basic block's fields as
 // parallel slices indexed by bref. Blocks need no quarantine: every
 // dangling reference to a freed block lives in its own (simultaneously
-// freed) nodes, which the node watermarks already guard.
+// freed) nodes, which the range watermarks already guard.
 type blockStore struct {
 	xb      []*ir.Block
+	tmpl    []*blockTmpl // issue template (dec.go)
 	seq0    []int64
-	nodes   [][]nref
+	base    []nref   // first slot of the block's node range; node i is base+i
+	issued  []int32  // nodes issued so far (the range's live prefix)
 	asserts [][]nref // asserts in issue order, for oldest-first fault gating
 	stores  [][]nref
 	sys     [][]nref // ready Sys nodes parked until the block reaches the window front
@@ -340,8 +364,10 @@ func (s *blockStore) alloc() bref {
 	}
 	ab := bref(len(s.seq0))
 	s.xb = append(s.xb, nil)
+	s.tmpl = append(s.tmpl, nil)
 	s.seq0 = append(s.seq0, 0)
-	s.nodes = append(s.nodes, nil)
+	s.base = append(s.base, nilRef)
+	s.issued = append(s.issued, 0)
 	s.asserts = append(s.asserts, nil)
 	s.stores = append(s.stores, nil)
 	s.sys = append(s.sys, nil)
@@ -359,12 +385,14 @@ func (s *blockStore) alloc() bref {
 func (s *blockStore) put(ab bref) { s.free = append(s.free, ab) }
 
 // reset returns a block slot to its freshly allocated state, keeping the
-// backing arrays of its node/assert/store lists. The rename snapshot is not
+// backing arrays of its assert/store lists. The rename snapshot is not
 // cleared: openBlock overwrites it wholesale.
 func (s *blockStore) reset(ab bref) {
 	s.xb[ab] = nil
+	s.tmpl[ab] = nil
 	s.seq0[ab] = 0
-	s.nodes[ab] = s.nodes[ab][:0]
+	s.base[ab] = nilRef
+	s.issued[ab] = 0
 	s.asserts[ab] = s.asserts[ab][:0]
 	s.stores[ab] = s.stores[ab][:0]
 	s.sys[ab] = s.sys[ab][:0]
@@ -377,9 +405,14 @@ func (s *blockStore) reset(ab bref) {
 	s.predToken[ab] = 0
 }
 
+// nodes returns the block's issued node range [lo, hi).
+func (s *blockStore) nodes(ab bref) (lo, hi nref) {
+	return s.base[ab], s.base[ab] + s.issued[ab]
+}
+
 // complete reports whether every issued node of the block has executed.
 func (s *blockStore) complete(ab bref) bool {
-	return s.flags[ab]&abIssuedAll != 0 && int(s.nDone[ab]) == len(s.nodes[ab])
+	return s.flags[ab]&abIssuedAll != 0 && s.nDone[ab] == s.issued[ab]
 }
 
 // ---------- return-stack pool ----------
@@ -406,7 +439,9 @@ func (p *rsPool) get() *rsNode {
 // ---------- ready queue ----------
 
 // qent is one ready-queue entry: the node index plus its issue sequence,
-// copied inline so heap sifts compare without touching the node arrays.
+// copied inline so heap sifts compare without touching the node arrays,
+// and so an entry outliving its node is recognizable (the slot's seq no
+// longer matches).
 type qent struct {
 	seq int64
 	ref nref
@@ -415,91 +450,66 @@ type qent struct {
 // readyQ is a binary min-heap of ready nodes keyed by issue sequence — the
 // scheduler always picks the oldest ready node (sequence numbers are
 // unique, so the pop order is fully determined and the figure tables are
-// bit-identical across engine rewrites). The heap is intrusive through the
-// node store's qpos column (heap position plus one, 0 = not queued), so
-// squashed nodes are removed in O(log n) instead of lingering as
-// tombstones.
+// bit-identical across engine rewrites). Squash does not unlink entries:
+// peek discards, at the top, every entry whose node has been squashed or
+// whose slot has been reissued under a newer seq, so only live entries are
+// ever returned.
 type readyQ struct {
 	a []qent
 }
 
-func (q *readyQ) len() int { return len(q.a) }
-
-// minSeq/minRef expose the oldest ready entry without removing it.
-func (q *readyQ) minSeq() int64 { return q.a[0].seq }
-func (q *readyQ) minRef() nref  { return q.a[0].ref }
-
-func (q *readyQ) push(qpos []int32, seq int64, nd nref) {
+func (q *readyQ) push(seq int64, nd nref) {
 	q.a = append(q.a, qent{})
-	q.up(qpos, len(q.a)-1, qent{seq: seq, ref: nd})
-}
-
-// pop removes and returns the oldest ready node.
-func (q *readyQ) pop(qpos []int32) nref {
-	nd := q.a[0].ref
-	q.removeAt(qpos, 0)
-	return nd
-}
-
-// remove unlinks a node from the heap if it is queued.
-func (q *readyQ) remove(qpos []int32, nd nref) {
-	if qpos[nd] != 0 {
-		q.removeAt(qpos, int(qpos[nd])-1)
-	}
-}
-
-func (q *readyQ) removeAt(qpos []int32, i int) {
-	last := len(q.a) - 1
-	qpos[q.a[i].ref] = 0
-	moved := q.a[last]
-	q.a = q.a[:last]
-	if i == last {
-		return
-	}
-	// Re-seat the displaced element: sift down, then up.
-	if !q.down(qpos, i, moved) {
-		q.up(qpos, i, moved)
-	}
-}
-
-// up sifts en toward the root from position i and seats it.
-func (q *readyQ) up(qpos []int32, i int, en qent) {
+	i := len(q.a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q.a[parent].seq <= en.seq {
+		if q.a[parent].seq <= seq {
 			break
 		}
 		q.a[i] = q.a[parent]
-		qpos[q.a[i].ref] = int32(i + 1)
 		i = parent
 	}
-	q.a[i] = en
-	qpos[en.ref] = int32(i + 1)
+	q.a[i] = qent{seq: seq, ref: nd}
 }
 
-// down sifts en toward the leaves from position i and seats it, reporting
-// whether it moved.
-func (q *readyQ) down(qpos []int32, i int, en qent) bool {
-	start := i
-	n := len(q.a)
+// peek returns the oldest live entry's node without removing it, popping
+// dead entries off the top on the way; ok is false when no live entry
+// remains.
+func (q *readyQ) peek(d []nodeSlot) (nd nref, ok bool) {
+	for len(q.a) > 0 {
+		top := q.a[0]
+		if sl := &d[top.ref]; sl.seq == top.seq && sl.status&nsSquashed == 0 {
+			return top.ref, true
+		}
+		q.pop()
+	}
+	return nilRef, false
+}
+
+// pop removes the top entry.
+func (q *readyQ) pop() {
+	last := len(q.a) - 1
+	en := q.a[last]
+	q.a = q.a[:last]
+	if last == 0 {
+		return
+	}
+	i := 0
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= last {
 			break
 		}
-		if r := child + 1; r < n && q.a[r].seq < q.a[child].seq {
+		if r := child + 1; r < last && q.a[r].seq < q.a[child].seq {
 			child = r
 		}
 		if en.seq <= q.a[child].seq {
 			break
 		}
 		q.a[i] = q.a[child]
-		qpos[q.a[i].ref] = int32(i + 1)
 		i = child
 	}
 	q.a[i] = en
-	qpos[en.ref] = int32(i + 1)
-	return i > start
 }
 
 // ---------- completion event wheel ----------
