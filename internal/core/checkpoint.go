@@ -92,7 +92,7 @@ func (e *dynamicEngine) captureState() *EngineState {
 	e.foldBlockSizes()
 	st := &EngineState{
 		Cycle:     e.cycle,
-		Mem:       append([]byte(nil), e.env.mem...),
+		Mem:       e.env.mem.Bytes(),
 		InPos:     [2]int64{int64(e.env.inPos[0]), int64(e.env.inPos[1])},
 		Out:       append([]byte(nil), e.env.out...),
 		NextBlock: e.nextBlockID,
@@ -138,8 +138,8 @@ func (e *dynamicEngine) restore(st *EngineState) error {
 	if st.Static {
 		return &ResumeError{Reason: "snapshot is from the static engine"}
 	}
-	if len(st.Mem) != len(e.env.mem) {
-		return &ResumeError{Reason: fmt.Sprintf("memory image is %d bytes, machine has %d", len(st.Mem), len(e.env.mem))}
+	if int64(len(st.Mem)) != e.env.mem.Size() {
+		return &ResumeError{Reason: fmt.Sprintf("memory image is %d bytes, machine has %d", len(st.Mem), e.env.mem.Size())}
 	}
 	if !validSnapBlock(e.img.Prog, st.NextBlock) {
 		return &ResumeError{Reason: fmt.Sprintf("next block %d out of range", st.NextBlock)}
@@ -174,7 +174,7 @@ func (e *dynamicEngine) restore(st *EngineState) error {
 			return &ResumeError{Reason: err.Error()}
 		}
 	}
-	copy(e.env.mem, st.Mem)
+	e.env.mem.SetBytes(st.Mem)
 	e.env.inPos = [2]int{int(st.InPos[0]), int(st.InPos[1])}
 	e.env.out = append(e.env.out[:0], st.Out...)
 	for r := range e.rename {
@@ -238,7 +238,7 @@ func (e *staticEngine) captureStatic(next ir.BlockID, nextCycle int64) *EngineSt
 	st := &EngineState{
 		Static:    true,
 		Cycle:     nextCycle,
-		Mem:       append([]byte(nil), e.env.mem...),
+		Mem:       e.env.mem.Bytes(),
 		InPos:     [2]int64{int64(e.env.inPos[0]), int64(e.env.inPos[1])},
 		Out:       append([]byte(nil), e.env.out...),
 		Regs:      e.regs,
@@ -257,8 +257,8 @@ func (e *staticEngine) restore(st *EngineState) error {
 	if !st.Static {
 		return &ResumeError{Reason: "snapshot is from the dynamic engine"}
 	}
-	if len(st.Mem) != len(e.env.mem) {
-		return &ResumeError{Reason: fmt.Sprintf("memory image is %d bytes, machine has %d", len(st.Mem), len(e.env.mem))}
+	if int64(len(st.Mem)) != e.env.mem.Size() {
+		return &ResumeError{Reason: fmt.Sprintf("memory image is %d bytes, machine has %d", len(st.Mem), e.env.mem.Size())}
 	}
 	if !validSnapBlock(e.img.Prog, st.NextBlock) {
 		return &ResumeError{Reason: fmt.Sprintf("next block %d out of range", st.NextBlock)}
@@ -279,7 +279,7 @@ func (e *staticEngine) restore(st *EngineState) error {
 	if err := e.ms.SetState(st.Cache); err != nil {
 		return &ResumeError{Reason: err.Error()}
 	}
-	copy(e.env.mem, st.Mem)
+	e.env.mem.SetBytes(st.Mem)
 	e.env.inPos = [2]int{int(st.InPos[0]), int(st.InPos[1])}
 	e.env.out = append(e.env.out[:0], st.Out...)
 	e.regs = st.Regs

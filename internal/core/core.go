@@ -129,12 +129,13 @@ func RunContext(ctx context.Context, img *loader.Image, in0, in1 []byte, trace [
 // checks; a power of two so the test is a mask.
 const ctxCheckPeriod = 4096
 
-// env is the architectural state shared by both engines: flat memory, the
-// input streams, and collected output. Its address clamping is identical to
-// the functional interpreter's so that runs are bit-for-bit comparable.
+// env is the architectural state shared by both engines: memory, the input
+// streams, and collected output. Its memory is an ir.Memory, the type the
+// functional interpreter uses, address clamp included, so that runs are
+// bit-for-bit comparable.
 type env struct {
 	prog *ir.Program
-	mem  []byte
+	mem  *ir.Memory
 
 	in    [2][]byte
 	inPos [2]int
@@ -142,37 +143,7 @@ type env struct {
 }
 
 func newEnv(p *ir.Program, in0, in1 []byte) *env {
-	e := &env{prog: p, in: [2][]byte{in0, in1}}
-	e.mem = make([]byte, p.MemSize)
-	copy(e.mem[p.DataBase:], p.Data)
-	return e
-}
-
-func (e *env) clampAddr(a int32, size int64) int64 {
-	addr := int64(uint32(a))
-	if addr+size > int64(len(e.mem)) {
-		return 0
-	}
-	return addr
-}
-
-func (e *env) load(a int32, size int64) int32 {
-	addr := e.clampAddr(a, size)
-	if size == 1 {
-		return int32(e.mem[addr])
-	}
-	return int32(uint32(e.mem[addr]) | uint32(e.mem[addr+1])<<8 |
-		uint32(e.mem[addr+2])<<16 | uint32(e.mem[addr+3])<<24)
-}
-
-func (e *env) store(a int32, size int64, v int32) {
-	addr := e.clampAddr(a, size)
-	e.mem[addr] = byte(v)
-	if size == 4 {
-		e.mem[addr+1] = byte(v >> 8)
-		e.mem[addr+2] = byte(v >> 16)
-		e.mem[addr+3] = byte(v >> 24)
-	}
+	return &env{prog: p, mem: ir.NewMemory(p), in: [2][]byte{in0, in1}}
 }
 
 func (e *env) syscall(no int64, a, b int32) int32 {

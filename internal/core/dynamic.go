@@ -476,7 +476,7 @@ func (e *dynamicEngine) commitStore(snd nref) {
 		}
 	}
 	e.wbStores--
-	e.env.store(int32(ns.d[snd].addr), int64(ns.d[snd].msize), ns.d[snd].val)
+	e.env.mem.Store(int32(ns.d[snd].addr), int64(ns.d[snd].msize), ns.d[snd].val)
 	e.ms.StoreTouch(int64(ns.d[snd].addr))
 }
 
@@ -658,7 +658,7 @@ func (e *dynamicEngine) execute(nd nref) {
 	case op.IsLoad():
 		size := sizeOf(op)
 		ns.d[nd].msize = int8(size)
-		ns.d[nd].addr = uint32(e.env.clampAddr(a+int32(n.Imm), size))
+		ns.d[nd].addr = uint32(e.env.mem.Clamp(a+int32(n.Imm), size))
 		val, forwarded := e.loadValue(nd)
 		ns.d[nd].val = val
 		if forwarded {
@@ -670,7 +670,7 @@ func (e *dynamicEngine) execute(nd nref) {
 	case op.IsStore():
 		size := sizeOf(op)
 		ns.d[nd].msize = int8(size)
-		ns.d[nd].addr = uint32(e.env.clampAddr(a+int32(n.Imm), size))
+		ns.d[nd].addr = uint32(e.env.mem.Clamp(a+int32(n.Imm), size))
 		ns.d[nd].val = b
 		e.memEpoch++
 		e.wbStores++
@@ -733,7 +733,7 @@ func (e *dynamicEngine) loadValue(nd nref) (int32, bool) {
 	size := int64(ns.d[nd].msize)
 	addr := int64(ns.d[nd].addr)
 	seq := ns.d[nd].seq
-	base := e.env.load(int32(addr), size)
+	base := e.env.mem.Load(int32(addr), size)
 	bytes[0] = byte(base)
 	bytes[1] = byte(base >> 8)
 	bytes[2] = byte(base >> 16)

@@ -136,12 +136,12 @@ func (e *dynamicEngine) ForceMemViolation(r uint64) (string, bool) {
 }
 
 func (e *dynamicEngine) CorruptArch(r uint64) string {
-	if len(e.env.mem) == 0 {
+	if e.env.mem.Size() == 0 {
 		return ""
 	}
-	off := r % uint64(len(e.env.mem))
+	off := r % uint64(e.env.mem.Size())
 	bit := (r >> 40) % 8
-	e.env.mem[off] ^= 1 << bit
+	e.env.mem.FlipBit(int64(off), uint(bit))
 	e.st.InjectedFaults++
 	if e.runErr == nil {
 		e.runErr = &UnrecoverableFaultError{

@@ -126,7 +126,7 @@ func (e *staticEngine) beginTx() {
 func (e *staticEngine) rollbackTx() {
 	for i := len(e.memUndo) - 1; i >= 0; i-- {
 		u := e.memUndo[i]
-		copy(e.env.mem[u.addr:u.addr+int64(u.size)], u.old[:u.size])
+		e.env.mem.Write(u.addr, u.old[:u.size])
 	}
 	e.regs = e.regSnap
 	e.regReadyAt = e.readySnap
@@ -135,12 +135,11 @@ func (e *staticEngine) rollbackTx() {
 
 func (e *staticEngine) storeTx(a int32, size int64, v int32) {
 	if e.transactional {
-		addr := e.env.clampAddr(a, size)
-		u := memUndo{addr: addr, size: int8(size)}
-		copy(u.old[:], e.env.mem[addr:addr+size])
+		u := memUndo{addr: e.env.mem.Clamp(a, size), size: int8(size)}
+		e.env.mem.Read(u.addr, u.old[:size])
 		e.memUndo = append(e.memUndo, u)
 	}
-	e.env.store(a, size, v)
+	e.env.mem.Store(a, size, v)
 }
 
 // execBlock runs one block starting at cycle t0 and returns the successor
@@ -197,12 +196,12 @@ func (e *staticEngine) execBlock(id ir.BlockID, t0 int64) (next ir.BlockID, next
 				e.setReg(n.Dst, v, issue+1)
 
 			case n.Op.IsLoad():
-				addr := e.env.clampAddr(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op))
+				addr := e.env.mem.Clamp(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op))
 				lat := int64(e.ms.LoadLatency(addr))
-				e.setReg(n.Dst, e.env.load(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op)), issue+lat)
+				e.setReg(n.Dst, e.env.mem.Load(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op)), issue+lat)
 
 			case n.Op.IsStore():
-				addr := e.env.clampAddr(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op))
+				addr := e.env.mem.Clamp(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op))
 				e.ms.StoreTouch(addr)
 				e.storeTx(e.regs[n.A]+int32(n.Imm), sizeOf(n.Op), e.regs[n.B])
 

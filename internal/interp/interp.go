@@ -85,7 +85,7 @@ type undoStore struct {
 // Machine executes a program functionally.
 type Machine struct {
 	prog *ir.Program
-	mem  []byte
+	mem  *ir.Memory
 	regs [ir.NumRegs]int32
 
 	in     [2][]byte
@@ -110,9 +110,7 @@ type regUndo struct {
 // New creates a machine for one run. in0 and in1 are the two input streams
 // (stream 1 may be nil).
 func New(p *ir.Program, in0, in1 []byte, opts Options) *Machine {
-	m := &Machine{prog: p, opts: opts}
-	m.mem = make([]byte, p.MemSize)
-	copy(m.mem[p.DataBase:], p.Data)
+	m := &Machine{prog: p, mem: ir.NewMemory(p), opts: opts}
 	m.in[0] = in0
 	m.in[1] = in1
 	m.regs[ir.RegSP] = ir.InitialSP(p.MemSize)
@@ -125,39 +123,15 @@ func Run(p *ir.Program, in0, in1 []byte, opts Options) (*Result, error) {
 	return m.Run()
 }
 
-// clampAddr keeps every memory access inside the simulated memory. Wild
-// addresses (possible on wrong paths and in buggy benchmark code) wrap into
-// a reserved low page rather than crashing the host.
-func (m *Machine) clampAddr(a int32, size int64) int64 {
-	addr := int64(uint32(a))
-	if addr < 0 || addr+size > int64(len(m.mem)) {
-		return 0
-	}
-	return addr
-}
-
-func (m *Machine) load(a int32, size int64) int32 {
-	addr := m.clampAddr(a, size)
-	if size == 1 {
-		return int32(m.mem[addr])
-	}
-	return int32(uint32(m.mem[addr]) | uint32(m.mem[addr+1])<<8 |
-		uint32(m.mem[addr+2])<<16 | uint32(m.mem[addr+3])<<24)
-}
-
-func (m *Machine) store(a int32, size int64, v int32, transactional bool) {
-	addr := m.clampAddr(a, size)
+// storeTx stores to memory, first logging the bytes it overwrites when the
+// block executes transactionally.
+func (m *Machine) storeTx(a int32, size int64, v int32, transactional bool) {
 	if transactional {
-		u := undoStore{addr: addr, size: int8(size)}
-		copy(u.old[:], m.mem[addr:addr+size])
+		u := undoStore{addr: m.mem.Clamp(a, size), size: int8(size)}
+		m.mem.Read(u.addr, u.old[:size])
 		m.memUndo = append(m.memUndo, u)
 	}
-	m.mem[addr] = byte(v)
-	if size == 4 {
-		m.mem[addr+1] = byte(v >> 8)
-		m.mem[addr+2] = byte(v >> 16)
-		m.mem[addr+3] = byte(v >> 24)
-	}
+	m.mem.Store(a, size, v)
 }
 
 func (m *Machine) setReg(r ir.Reg, v int32, transactional bool) {
@@ -242,13 +216,13 @@ func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err er
 			}
 			m.setReg(n.Dst, v, tx)
 		case n.Op == ir.Ld:
-			m.setReg(n.Dst, m.load(m.regs[n.A]+int32(n.Imm), 4), tx)
+			m.setReg(n.Dst, m.mem.Load(m.regs[n.A]+int32(n.Imm), 4), tx)
 		case n.Op == ir.LdB:
-			m.setReg(n.Dst, m.load(m.regs[n.A]+int32(n.Imm), 1), tx)
+			m.setReg(n.Dst, m.mem.Load(m.regs[n.A]+int32(n.Imm), 1), tx)
 		case n.Op == ir.St:
-			m.store(m.regs[n.A]+int32(n.Imm), 4, m.regs[n.B], tx)
+			m.storeTx(m.regs[n.A]+int32(n.Imm), 4, m.regs[n.B], tx)
 		case n.Op == ir.StB:
-			m.store(m.regs[n.A]+int32(n.Imm), 1, m.regs[n.B], tx)
+			m.storeTx(m.regs[n.A]+int32(n.Imm), 1, m.regs[n.B], tx)
 		case n.Op == ir.Sys:
 			var a, bb int32
 			if n.A != ir.NoReg {
@@ -326,7 +300,7 @@ func (m *Machine) countNodes(n int64) error {
 func (m *Machine) rollback() {
 	for i := len(m.memUndo) - 1; i >= 0; i-- {
 		u := m.memUndo[i]
-		copy(m.mem[u.addr:u.addr+int64(u.size)], u.old[:u.size])
+		m.mem.Write(u.addr, u.old[:u.size])
 	}
 	for i := len(m.regUndo) - 1; i >= 0; i-- {
 		m.regs[m.regUndo[i].r] = m.regUndo[i].old

@@ -210,12 +210,12 @@ func TestMemoryClamping(t *testing.T) {
 	p := makeProgram()
 	m := New(p, nil, nil, Options{})
 	// Wild addresses clamp into the guard page instead of crashing.
-	m.store(int32(-4), 4, 123, false)
-	if v := m.load(int32(-4), 4); v != 123 {
+	m.mem.Store(int32(-4), 4, 123)
+	if v := m.mem.Load(int32(-4), 4); v != 123 {
 		t.Errorf("clamped load = %d, want 123", v)
 	}
-	m.store(int32(p.MemSize), 1, 7, false)
-	if v := m.load(int32(p.MemSize), 1); v != 7 {
+	m.mem.Store(int32(p.MemSize), 1, 7)
+	if v := m.mem.Load(int32(p.MemSize), 1); v != 7 {
 		t.Errorf("clamped byte load = %d", v)
 	}
 }
@@ -223,16 +223,16 @@ func TestMemoryClamping(t *testing.T) {
 func TestByteAndWordAccess(t *testing.T) {
 	p := makeProgram()
 	m := New(p, nil, nil, Options{})
-	m.store(5000, 4, -2, false)
-	if v := m.load(5000, 4); v != -2 {
+	m.mem.Store(5000, 4, -2)
+	if v := m.mem.Load(5000, 4); v != -2 {
 		t.Errorf("word round trip = %d, want -2", v)
 	}
-	if v := m.load(5000, 1); v != 0xFE {
+	if v := m.mem.Load(5000, 1); v != 0xFE {
 		t.Errorf("byte view = %d, want 254 (loads zero-extend)", v)
 	}
-	m.store(5001, 1, 0x7F, false)
+	m.mem.Store(5001, 1, 0x7F)
 	// -2 = FE FF FF FF; overwrite byte 1 with 7F: FE 7F FF FF = -32770.
-	if v := m.load(5000, 4); v != -32770 {
+	if v := m.mem.Load(5000, 4); v != -32770 {
 		t.Errorf("mixed access = %d, want -32770", v)
 	}
 }

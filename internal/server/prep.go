@@ -13,16 +13,28 @@ import (
 // run-independent part of a request (compile, profiling run, enlargement
 // build, reference run), so a long-lived daemon does it once per program
 // and amortizes it across every request and sweep cell that follows —
-// the service-shaped analogue of exp's per-sweep image cache.
+// the service-shaped analogue of exp's per-sweep image cache. An entry
+// holds its program's block trace and cached images, so the cache keeps
+// at most prepCacheCap completed entries and evicts the least recently
+// used beyond that; an entry still being prepared is never evicted.
 type prepCache struct {
-	mu sync.Mutex
-	m  map[string]*prepEntry
+	mu    sync.Mutex
+	m     map[string]*prepEntry
+	clock uint64 // ticks once per get; orders entries by last use
 }
+
+// prepCacheCap bounds the completed entries a prepCache keeps. It is above
+// the programs one sweep or a burst of ad-hoc /run requests names, and a
+// 40-program fabric benchmark pass fits whole.
+const prepCacheCap = 64
 
 type prepEntry struct {
 	once sync.Once
 	p    *exp.Prepared
 	err  error
+
+	lastUse uint64 // prepCache.clock at the latest get (under prepCache.mu)
+	done    bool   // prepared; only done entries are evicted (under prepCache.mu)
 }
 
 func newPrepCache() *prepCache {
@@ -39,9 +51,32 @@ func (c *prepCache) get(name string, build func() (*exp.Prepared, error)) (*exp.
 		e = &prepEntry{}
 		c.m[name] = e
 	}
+	c.clock++
+	e.lastUse = c.clock
 	c.mu.Unlock()
 	e.once.Do(func() { e.p, e.err = build() })
+	c.mu.Lock()
+	e.done = true
+	c.evictLocked()
+	c.mu.Unlock()
 	return e.p, e.err
+}
+
+// evictLocked drops least recently used completed entries until at most
+// prepCacheCap remain or only entries in preparation are left over.
+func (c *prepCache) evictLocked() {
+	for len(c.m) > prepCacheCap {
+		victim, oldest := "", ^uint64(0)
+		for name, e := range c.m {
+			if e.done && e.lastUse < oldest {
+				victim, oldest = name, e.lastUse
+			}
+		}
+		if victim == "" {
+			return
+		}
+		delete(c.m, victim)
+	}
 }
 
 // prepareBench returns the prepared form of one of the paper's benchmarks.
