@@ -3,18 +3,20 @@
 // studies without babysitting one-shot CLI runs. It accepts single
 // simulations (POST /run) and asynchronous sweeps (POST /sweep, polled via
 // GET /sweep/{id}), sheds load with 429 + Retry-After once its admission
-// queue fills, kills wedged runs via a cycle-progress watchdog, journals
-// accepted sweeps to an fsync'd JSON-lines file so a crash or deploy loses
-// nothing settled, and drains gracefully on SIGTERM/SIGINT: stop
-// admitting, finish or journal in-flight work, exit 0. With checkpoints
-// armed (-checkpoint-every) sweep cells additionally park mid-run engine
-// snapshots, so even a kill -9 resumes mid-cell rather than from cycle 0,
-// and -preempt-after upgrades the watchdog to preempt-and-requeue long
-// sweeps that are starving queued work.
+// queue or sweep backlog fills, kills wedged runs and sweep cells via a
+// cycle-progress watchdog, journals accepted sweeps and every settled cell
+// to fsync'd JSON-lines files so a crash or deploy loses nothing settled,
+// and drains gracefully on SIGTERM/SIGINT: stop admitting, finish or
+// journal in-flight work, exit 0. With checkpoints armed
+// (-checkpoint-every) sweep cells additionally park mid-run engine
+// snapshots, so even a kill -9 resumes mid-cell rather than from cycle 0.
 //
-// The daemon also has two fabric roles (DESIGN.md §15). `-coordinator`
-// makes it the sweep coordinator: it accepts sweeps as usual but shards
-// their cells across registered workers instead of simulating locally.
+// Every sweep runs through a coordinator that hands its cells to pull
+// workers (DESIGN.md §15). By default simd is a single node: the
+// coordinator plus one in-process worker running -concurrency cells at a
+// time, and /run and sweep cells share those -concurrency slots.
+// `-coordinator` makes it coordinator only: no in-process worker, and the
+// /fabric/* worker protocol is served publicly for remote workers.
 // `-worker URL` makes it a worker: no listen address, no sweeps of its
 // own — just a pull client that registers with the coordinator at URL,
 // polls for cells, runs them, and posts results until drained.
@@ -25,18 +27,17 @@
 //	     [-queue 64] [-concurrency 0]
 //	     [-default-timeout 2m] [-max-timeout 10m]
 //	     [-watchdog-interval 1s] [-watchdog-stall 30s]
-//	     [-drain-timeout 30s]
-//	     [-checkpoint-every 0] [-preempt-after 0]
+//	     [-drain-timeout 30s] [-checkpoint-every 0]
 //	     [-coordinator] [-worker-dead-after 10s] [-steal-after 5s]
 //	     [-audit-rate 0] [-quarantine-strikes 3] [-scrub-interval 0]
 //	simd -worker http://coordinator:8080 [-worker-id NAME] [-heartbeat 1s]
 //	     [-concurrency 0] [-drain-timeout 30s]
 //
 // Endpoints: /healthz, /readyz (503 while draining), /metrics (queue
-// depth, shed count, in-flight, watchdog kills, retries, preempts,
-// fabric counters, p50/p99 run latency), /run, /sweep, /sweep/{id}, and —
-// in coordinator mode — the /fabric/* worker protocol. See README.md for
-// curl examples.
+// depth, shed count, in-flight, watchdog kills, retries, fabric counters,
+// p50/p99 run latency), /run, /sweep, /sweep/{id}, and — with
+// -coordinator — the /fabric/* worker protocol. See README.md for curl
+// examples.
 package main
 
 import (
@@ -67,7 +68,6 @@ type options struct {
 	wdStall         time.Duration
 	drainTimeout    time.Duration
 	checkpointEvery int64
-	preemptAfter    time.Duration
 
 	coordinator       bool
 	workerDeadAfter   time.Duration
@@ -90,16 +90,15 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.journalDir, "journal", "", "journal directory; accepted sweeps persist and resume across restarts (empty = no persistence)")
-	fs.IntVar(&o.queue, "queue", 64, "admission queue depth before shedding with 429")
-	fs.IntVar(&o.concurrency, "concurrency", 0, "weighted limiter capacity in worker units (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 64, "queued /run requests, and unfinished sweeps, before shedding with 429")
+	fs.IntVar(&o.concurrency, "concurrency", 0, "simulations at once, /run and sweep cells together (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.defTimeout, "default-timeout", 2*time.Minute, "per-run deadline when the request names none")
 	fs.DurationVar(&o.maxTimeout, "max-timeout", 10*time.Minute, "hard cap on requested run deadlines")
 	fs.DurationVar(&o.wdInterval, "watchdog-interval", time.Second, "heartbeat sampling period")
 	fs.DurationVar(&o.wdStall, "watchdog-stall", 30*time.Second, "kill a run after this long without engine progress")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "grace period for in-flight work on SIGTERM before force-cancel")
 	fs.Int64Var(&o.checkpointEvery, "checkpoint-every", 0, "simulated cycles between durable sweep-cell snapshots (0 = off; requires -journal)")
-	fs.DurationVar(&o.preemptAfter, "preempt-after", 0, "preempt-and-requeue a sweep holding workers this long while work queues (0 = off; requires -checkpoint-every)")
-	fs.BoolVar(&o.coordinator, "coordinator", false, "coordinator role: shard sweeps across registered fabric workers instead of simulating locally")
+	fs.BoolVar(&o.coordinator, "coordinator", false, "coordinator role: shard sweeps across registered fabric workers instead of running an in-process worker")
 	fs.DurationVar(&o.workerDeadAfter, "worker-dead-after", 10*time.Second, "coordinator declares a silent worker dead and requeues its cells after this long")
 	fs.DurationVar(&o.stealAfter, "steal-after", 5*time.Second, "idle workers may duplicate an in-flight cell older than this (straggler mitigation)")
 	fs.Float64Var(&o.auditRate, "audit-rate", 0, "fraction of completed cells re-executed on a different worker and byte-compared (0 = off; requires -coordinator)")
@@ -121,14 +120,8 @@ func (o *options) validate() error {
 	if o.checkpointEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be >= 0, got %d", o.checkpointEvery)
 	}
-	if o.preemptAfter < 0 {
-		return fmt.Errorf("-preempt-after must be >= 0, got %s", o.preemptAfter)
-	}
 	if o.checkpointEvery > 0 && o.journalDir == "" {
 		return fmt.Errorf("-checkpoint-every requires -journal (snapshots live in the journal directory)")
-	}
-	if o.preemptAfter > 0 && o.checkpointEvery == 0 {
-		return fmt.Errorf("-preempt-after requires -checkpoint-every (preemption parks a checkpoint)")
 	}
 	if o.coordinator && o.workerURL != "" {
 		return fmt.Errorf("-coordinator and -worker are exclusive: one process plays one fabric role")
@@ -198,7 +191,6 @@ func (o *options) serverConfig() server.Config {
 		WatchdogStall:     o.wdStall,
 		JournalDir:        o.journalDir,
 		CheckpointEvery:   o.checkpointEvery,
-		PreemptAfter:      o.preemptAfter,
 		Coordinator:       o.coordinator,
 		WorkerDeadAfter:   o.workerDeadAfter,
 		StealAfter:        o.stealAfter,

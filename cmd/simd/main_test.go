@@ -28,13 +28,11 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // substring; "" = valid
 	}{
 		{"defaults", nil, ""},
-		{"full checkpoint config", []string{"-journal", "/tmp/j", "-checkpoint-every", "100000", "-preempt-after", "30s"}, ""},
+		{"full checkpoint config", []string{"-journal", "/tmp/j", "-checkpoint-every", "100000", "-scrub-interval", "30s"}, ""},
 		{"checkpoints without preemption", []string{"-journal", "/tmp/j", "-checkpoint-every", "100000"}, ""},
 		{"empty addr", []string{"-addr", ""}, "-addr"},
 		{"checkpoint without journal", []string{"-checkpoint-every", "100000"}, "-checkpoint-every requires -journal"},
-		{"preempt without checkpoint", []string{"-journal", "/tmp/j", "-preempt-after", "30s"}, "-preempt-after requires -checkpoint-every"},
 		{"negative checkpoint", []string{"-journal", "/tmp/j", "-checkpoint-every", "-5"}, "-checkpoint-every must be >= 0"},
-		{"negative preempt", []string{"-journal", "/tmp/j", "-checkpoint-every", "1000", "-preempt-after", "-1s"}, "-preempt-after must be >= 0"},
 		{"negative stall", []string{"-watchdog-stall", "-1s"}, "-watchdog-stall must be >= 0"},
 		{"negative drain", []string{"-drain-timeout", "-1s"}, "-drain-timeout must be >= 0"},
 		{"coordinator role", []string{"-coordinator", "-journal", "/tmp/j", "-checkpoint-every", "100000"}, ""},
@@ -71,8 +69,7 @@ func TestServerConfigMapping(t *testing.T) {
 	o := registerFlags(fs)
 	args := []string{
 		"-journal", "/tmp/j", "-queue", "7", "-concurrency", "3",
-		"-checkpoint-every", "250000", "-preempt-after", "90s",
-		"-watchdog-stall", "45s",
+		"-checkpoint-every", "250000", "-watchdog-stall", "45s",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -81,8 +78,8 @@ func TestServerConfigMapping(t *testing.T) {
 	if cfg.JournalDir != "/tmp/j" || cfg.QueueDepth != 7 || cfg.Concurrency != 3 {
 		t.Errorf("admission config not mapped: %+v", cfg)
 	}
-	if cfg.CheckpointEvery != 250000 || cfg.PreemptAfter != 90*time.Second {
-		t.Errorf("checkpoint config not mapped: every=%d preempt=%s", cfg.CheckpointEvery, cfg.PreemptAfter)
+	if cfg.CheckpointEvery != 250000 {
+		t.Errorf("checkpoint config not mapped: every=%d", cfg.CheckpointEvery)
 	}
 	if cfg.WatchdogStall != 45*time.Second {
 		t.Errorf("WatchdogStall = %s, want 45s", cfg.WatchdogStall)
@@ -131,7 +128,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2},
 		{"bad flag combo", []string{"-checkpoint-every", "1000"}, 2},
-		{"bad duration syntax", []string{"-preempt-after", "soonish"}, 2},
+		{"bad duration syntax", []string{"-drain-timeout", "soonish"}, 2},
 		{"journal is a file", []string{"-addr", "127.0.0.1:0", "-journal", badJournal}, 1},
 	}
 	for _, tc := range cases {

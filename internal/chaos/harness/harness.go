@@ -47,8 +47,11 @@ import (
 	"sync"
 	"time"
 
+	"fgpsim/internal/bench"
 	"fgpsim/internal/chaos"
+	"fgpsim/internal/enlarge"
 	"fgpsim/internal/exp"
+	"fgpsim/internal/machine"
 	"fgpsim/internal/server"
 	"fgpsim/internal/stats"
 )
@@ -218,7 +221,7 @@ type Report struct {
 }
 
 // control is a cached fault-free reference for one spec: the canonical
-// results bytes a single-node server produces.
+// results bytes of a plain exp.GridContext run (runControl).
 type control struct {
 	once    sync.Once
 	results []byte
@@ -238,42 +241,62 @@ func controlFor(opts Options) ([]byte, error) {
 	return c.results, c.err
 }
 
-// runControl runs the spec on a plain single-node server — no coordinator,
-// no faults — and returns the canonical results bytes.
+// runControl runs the spec straight through exp.GridContext — no server,
+// no coordinator, no faults — at the fabric's checkpoint cadence, and
+// returns the canonical results bytes. The control is independent of
+// every sweep path the harness checks against it.
 func runControl(opts Options) ([]byte, error) {
 	dir, err := os.MkdirTemp("", "fgpsim-chaos-control-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	s, err := server.New(server.Config{JournalDir: dir, CheckpointEvery: opts.CheckpointEvery})
+	spec := opts.Spec
+	var prepared []*exp.Prepared
+	for _, name := range spec.Benches {
+		b := bench.ByName(name)
+		if b == nil {
+			return nil, fmt.Errorf("harness: unknown benchmark %q", name)
+		}
+		p, err := exp.Prepare(b, enlarge.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+		prepared = append(prepared, p)
+	}
+	if spec.Source != "" {
+		in0, in1 := []byte(spec.In0), []byte(spec.In1)
+		p, err := exp.Prepare(&bench.Benchmark{
+			Name:   server.SourceName(spec.Source, spec.In0, spec.In1),
+			Source: spec.Source,
+			Inputs: func(int) ([]byte, []byte) { return in0, in1 },
+		}, enlarge.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+		prepared = append(prepared, p)
+	}
+	var cfgs []machine.Config
+	for _, cs := range spec.Configs {
+		cfg, err := cs.Config()
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	res, err := exp.GridContext(context.Background(), prepared, cfgs, exp.GridOptions{
+		Retries:         spec.Retries,
+		CheckpointEvery: opts.CheckpointEvery,
+		SnapshotDir:     dir,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: control sweep: %w", err)
 	}
-	s.Start()
-	hs, baseURL, ln, err := serveOn(s, "")
-	if err != nil {
-		return nil, err
+	runs := make(map[string]*stats.Run, len(res.Runs))
+	for k, st := range res.Runs {
+		runs[server.KeyString(k)] = st
 	}
-	defer func() {
-		hs.Close()
-		ln.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	}()
-	id, err := submitSweep(baseURL, opts.Spec)
-	if err != nil {
-		return nil, err
-	}
-	st, err := waitSettled(baseURL, id, opts.Deadline, nil)
-	if err != nil {
-		return nil, err
-	}
-	if st.State != "done" || len(st.Failed) > 0 {
-		return nil, fmt.Errorf("harness: control sweep state %q (failed %v, err %q)", st.State, st.Failed, st.Error)
-	}
-	return canonicalResults(st.Results)
+	return canonicalResults(runs)
 }
 
 // serveOn starts an http.Server for s on addr ("" = a fresh loopback
@@ -376,7 +399,7 @@ func waitSettled(baseURL, id string, deadline time.Duration, onStall func() (str
 		if err == nil {
 			last = st
 			switch st.State {
-			case "done", "failed", "stuck":
+			case "done", "failed":
 				return st, nil
 			}
 		}

@@ -12,17 +12,20 @@ import (
 // This file is the daemon's load-shedding front door: a bounded admission
 // queue (requests beyond it are rejected immediately with an
 // *OverloadError, which handlers turn into HTTP 429 + Retry-After) feeding
-// a weighted FIFO concurrency limiter sized from GOMAXPROCS. The queue
-// bounds *waiting* work so memory and latency stay bounded under overload;
-// the limiter bounds *running* work so simulations never oversubscribe the
+// a FIFO concurrency limiter sized from GOMAXPROCS. The queue bounds
+// *waiting* work so memory and latency stay bounded under overload; the
+// limiter bounds *running* work so simulations never oversubscribe the
 // machine. Explicit shedding is the design point — a daemon that queues
 // unboundedly converts overload into OOM and unbounded tail latency.
 //
 // Admission is two-phase: reserve() claims a queue slot synchronously (the
 // shed decision, made while the HTTP handler can still answer 429), then
-// ticket.acquire() blocks until the limiter grants execution weight. The
-// split lets sweeps be accepted-then-queued asynchronously while /run
-// requests wait inline.
+// ticket.acquire() blocks until the limiter grants a slot. Every holder —
+// a /run, or one sweep cell on the in-process worker — takes one slot, so
+// /run and sweep cells together never exceed the limiter's capacity, and a
+// queued /run waits for one running cell rather than a whole sweep. Cells
+// take their slot straight from the limiter: sweeps are shed by their own
+// bound (unfinished sweeps, handleSweep), not by this queue.
 
 // OverloadError is returned when the admission queue is full. RetryAfter is
 // the backoff hint handlers forward as the Retry-After header.
@@ -74,45 +77,30 @@ func (a *admission) reserve() (*ticket, error) {
 	return &ticket{a: a}, nil
 }
 
-// reserveForced claims a slot even past the bound. It is for work that was
-// already admitted in a previous life of the process (journal recovery):
-// shedding it would drop accepted requests, the one thing the journal
-// exists to prevent.
-func (a *admission) reserveForced() *ticket {
-	a.backlog.Add(1)
-	return &ticket{a: a}
-}
-
-// acquire blocks until the limiter grants weight units (clamped to the
-// limiter's capacity), leaving the queue either way. On success the
-// returned release frees the weight.
-func (t *ticket) acquire(ctx context.Context, weight int) (release func(), err error) {
-	weight = t.a.lim.clamp(weight)
-	err = t.a.lim.acquire(ctx, weight)
+// acquire blocks until the limiter grants a slot, leaving the queue either
+// way. On success the returned release frees the slot.
+func (t *ticket) acquire(ctx context.Context) (release func(), err error) {
+	err = t.a.lim.acquire(ctx)
 	t.a.backlog.Add(-1)
 	if err != nil {
 		return nil, err
 	}
-	return func() { t.a.lim.release(weight) }, nil
+	return t.a.lim.release, nil
 }
 
 // abandon gives the queue slot back without acquiring.
 func (t *ticket) abandon() { t.a.backlog.Add(-1) }
 
-// limiter is a FIFO weighted counting semaphore (the shape of
-// golang.org/x/sync/semaphore, re-implemented to keep the module
-// dependency-free). FIFO matters: without it a steady stream of weight-1
-// runs could starve a wide sweep forever.
+// limiter is a FIFO counting semaphore (the shape of
+// golang.org/x/sync/semaphore at weight 1, re-implemented to keep the
+// module dependency-free). FIFO matters: slots go to waiters in arrival
+// order, so a /run queued behind a busy sweep gets the next free slot
+// instead of racing the sweep's following cells for it.
 type limiter struct {
 	mu      sync.Mutex
 	cap     int
 	used    int
-	waiters list.List // of *limWaiter, front = oldest
-}
-
-type limWaiter struct {
-	n     int
-	ready chan struct{}
+	waiters list.List // of chan struct{} (closed on grant), front = oldest
 }
 
 func newLimiter(capacity int) *limiter {
@@ -124,46 +112,36 @@ func newLimiter(capacity int) *limiter {
 
 func (l *limiter) capacity() int { return l.cap }
 
-// clamp bounds a requested weight to what the limiter can ever grant.
-func (l *limiter) clamp(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > l.cap {
-		return l.cap
-	}
-	return n
-}
-
-// inUse returns the currently held weight.
+// inUse returns the number of held slots (the /metrics inflight gauge).
 func (l *limiter) inUse() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.used
 }
 
-func (l *limiter) acquire(ctx context.Context, n int) error {
+// acquire blocks until a slot is free and every earlier waiter is served.
+func (l *limiter) acquire(ctx context.Context) error {
 	l.mu.Lock()
-	if l.waiters.Len() == 0 && l.used+n <= l.cap {
-		l.used += n
+	if l.waiters.Len() == 0 && l.used < l.cap {
+		l.used++
 		l.mu.Unlock()
 		return nil
 	}
-	w := &limWaiter{n: n, ready: make(chan struct{})}
-	elem := l.waiters.PushBack(w)
+	ready := make(chan struct{})
+	elem := l.waiters.PushBack(ready)
 	l.mu.Unlock()
 
 	select {
-	case <-w.ready:
+	case <-ready:
 		return nil
 	case <-ctx.Done():
 		l.mu.Lock()
 		select {
-		case <-w.ready:
+		case <-ready:
 			// Granted between ctx firing and taking the lock: keep the
 			// books consistent by releasing the grant.
 			l.mu.Unlock()
-			l.release(n)
+			l.release()
 		default:
 			l.waiters.Remove(elem)
 			l.mu.Unlock()
@@ -172,23 +150,16 @@ func (l *limiter) acquire(ctx context.Context, n int) error {
 	}
 }
 
-func (l *limiter) release(n int) {
+// release frees one slot, handing it to the oldest waiter if there is one.
+func (l *limiter) release() {
 	l.mu.Lock()
-	l.used -= n
-	if l.used < 0 {
+	defer l.mu.Unlock()
+	if l.used--; l.used < 0 {
 		panic("server: limiter released more than acquired")
 	}
-	// Grant from the front while the head fits (strict FIFO: a large
-	// waiter at the head blocks smaller ones behind it, which is what
-	// prevents starvation of wide sweeps).
-	for e := l.waiters.Front(); e != nil; e = l.waiters.Front() {
-		w := e.Value.(*limWaiter)
-		if l.used+w.n > l.cap {
-			break
-		}
-		l.used += w.n
+	if e := l.waiters.Front(); e != nil {
+		l.used++
 		l.waiters.Remove(e)
-		close(w.ready)
+		close(e.Value.(chan struct{}))
 	}
-	l.mu.Unlock()
 }

@@ -8,36 +8,38 @@ import (
 	"time"
 )
 
+// TestLimiterWeightedFIFO pins the limiter's FIFO grant order (every
+// holder weighs one slot): a freed slot goes to the oldest waiter, never to
+// a latecomer.
 func TestLimiterWeightedFIFO(t *testing.T) {
-	l := newLimiter(4)
+	l := newLimiter(1)
 	ctx := context.Background()
-	if err := l.acquire(ctx, 3); err != nil {
+	if err := l.acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// A wide waiter at the head must not be starved by narrow latecomers.
 	order := make(chan int, 2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		l.acquire(ctx, 4) // needs everything; queues first
-		order <- 4
-		l.release(4)
+		l.acquire(ctx) // queues first
+		order <- 1
+		l.release()
 	}()
-	// Give the wide waiter time to enqueue.
+	// Give the first waiter time to enqueue.
 	waitFor(t, func() bool { l.mu.Lock(); defer l.mu.Unlock(); return l.waiters.Len() == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		l.acquire(ctx, 1)
-		order <- 1
-		l.release(1)
+		l.acquire(ctx)
+		order <- 2
+		l.release()
 	}()
 	waitFor(t, func() bool { l.mu.Lock(); defer l.mu.Unlock(); return l.waiters.Len() == 2 })
-	l.release(3)
+	l.release()
 	wg.Wait()
-	if first := <-order; first != 4 {
-		t.Fatalf("narrow waiter overtook the wide head of the queue (got %d first)", first)
+	if first := <-order; first != 1 {
+		t.Fatalf("a later waiter overtook the head of the queue (got waiter %d first)", first)
 	}
 	if l.inUse() != 0 {
 		t.Fatalf("leaked weight: %d", l.inUse())
@@ -46,29 +48,29 @@ func TestLimiterWeightedFIFO(t *testing.T) {
 
 func TestLimiterAcquireCanceled(t *testing.T) {
 	l := newLimiter(1)
-	if err := l.acquire(context.Background(), 1); err != nil {
+	if err := l.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
-	go func() { errCh <- l.acquire(ctx, 1) }()
+	go func() { errCh <- l.acquire(ctx) }()
 	waitFor(t, func() bool { l.mu.Lock(); defer l.mu.Unlock(); return l.waiters.Len() == 1 })
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("acquire returned %v, want context.Canceled", err)
 	}
-	l.release(1)
+	l.release()
 	// The canceled waiter must have left the queue; capacity is free again.
-	if err := l.acquire(context.Background(), 1); err != nil {
+	if err := l.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	l.release(1)
+	l.release()
 }
 
 func TestAdmissionSheds(t *testing.T) {
 	a := newAdmission(2, 1)
 	// Fill the limiter so reserved tickets stay queued.
-	if err := a.lim.acquire(context.Background(), 1); err != nil {
+	if err := a.lim.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	t1, err := a.reserve()
@@ -98,26 +100,7 @@ func TestAdmissionSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	t3.abandon()
-	a.lim.release(1)
-}
-
-func TestTicketAcquireClampsWeight(t *testing.T) {
-	a := newAdmission(4, 2)
-	tk, err := a.reserve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	release, err := tk.acquire(context.Background(), 1000) // clamped to capacity 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.lim.inUse(); got != 2 {
-		t.Fatalf("inUse = %d, want clamp to capacity 2", got)
-	}
-	release()
-	if got := a.lim.inUse(); got != 0 {
-		t.Fatalf("release leaked weight: %d", got)
-	}
+	a.lim.release()
 }
 
 // waitFor polls a condition for up to 2s.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 	"fgpsim/internal/stats"
 )
 
-// coordinator is the fabric's scheduling brain, attached to a Server
-// started with Config.Coordinator. It owns the authoritative cell state of
+// coordinator is the fabric's scheduling brain; every Server has one, and
+// every sweep runs through it. It owns the authoritative cell state of
 // every accepted sweep: which cells are pending (and which worker's shard
 // they belong to, via the consistent-hash ring over image-cache keys),
 // which are in flight under which lease, and which are settled with what
@@ -35,8 +36,15 @@ type coordinator struct {
 	leaseSeq uint64
 	ring     *exp.Ring
 	jobs     map[string]*fabricJob
-	jobOrder []string
+	jobOrder []string // unfinished sweeps, in acceptance order
+	// kick is closed (and replaced) whenever new work may be pickable — a
+	// sweep starts, a cell requeues, an audit opens — releasing held polls.
+	kick chan struct{}
 }
+
+// pollHold is how long an empty poll is held open waiting for work before
+// it answers empty; the worker then polls again at once.
+const pollHold = 200 * time.Millisecond
 
 type cellState int
 
@@ -138,29 +146,36 @@ type fabricJob struct {
 	integrityFailuresN int
 }
 
-func newCoordinator(s *Server) (*coordinator, error) {
-	dir := ""
-	if s.cfg.JournalDir != "" {
-		dir = filepath.Join(s.cfg.JournalDir, "fabric-snapshots")
-	} else {
-		var err error
-		dir, err = os.MkdirTemp("", "fgpsim-fabric-")
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// newCoordinator builds the coordinator, keeping shipped snapshots in
+// snapDir.
+func newCoordinator(s *Server, snapDir string) (*coordinator, error) {
+	if err := os.MkdirAll(snapDir, 0o755); err != nil {
 		return nil, err
 	}
 	interval := s.cfg.WorkerDeadAfter / 4
 	return &coordinator{
 		s:       s,
 		wd:      newWatchdog(interval, s.cfg.WorkerDeadAfter),
-		snapDir: dir,
+		snapDir: snapDir,
 		workers: make(map[string]*workerEnt),
 		ring:    exp.NewRing(),
 		jobs:    make(map[string]*fabricJob),
+		kick:    make(chan struct{}),
 	}, nil
+}
+
+// wakeLocked releases every held poll to look for work again. Requires c.mu.
+func (c *coordinator) wakeLocked() {
+	close(c.kick)
+	c.kick = make(chan struct{})
+}
+
+// unfinished counts accepted sweeps that have not settled (the /sweep shed
+// bound).
+func (c *coordinator) unfinished() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.jobOrder)
 }
 
 func (c *coordinator) routes(mux *http.ServeMux) {
@@ -276,13 +291,17 @@ func (c *coordinator) start(j *job, recovered bool) error {
 			fj.pendingN++
 		}
 	}
-	j.setState(jobRunning)
-	j.setProgress(fj.doneN, len(fj.order))
+	j.mu.Lock()
+	j.state, j.done = jobRunning, fj.doneN
+	j.mu.Unlock()
 
 	c.mu.Lock()
 	c.jobs[j.ID] = fj
 	c.jobOrder = append(c.jobOrder, j.ID)
-	finished := fj.settledLocked()
+	finished := c.markFinishedLocked(fj)
+	if fj.pendingN > 0 {
+		c.wakeLocked()
+	}
 	c.mu.Unlock()
 	if finished {
 		// Every cell was already journaled (crash after the last result,
@@ -301,9 +320,24 @@ func (fj *fabricJob) settledLocked() bool {
 	return !fj.finished && fj.doneN+fj.failedN == len(fj.order) && fj.auditsPending == 0
 }
 
+// markFinishedLocked marks a settled sweep finished and drops it from the
+// poll order, reporting whether the caller must now run finishJob (outside
+// c.mu). Requires c.mu.
+func (c *coordinator) markFinishedLocked(fj *fabricJob) bool {
+	if !fj.settledLocked() {
+		return false
+	}
+	fj.finished = true
+	c.jobOrder = slices.DeleteFunc(c.jobOrder, func(id string) bool { return id == fj.j.ID })
+	return true
+}
+
 // handlePoll hands a worker up to Max cells: its own shard first, then
 // anything pending (counted as stolen), then — when nothing is pending —
-// a duplicate assignment of the oldest straggler (stealing.go).
+// a duplicate assignment of the oldest straggler (stealing.go). When there
+// is nothing to hand out the poll is held for up to pollHold, answering as
+// soon as new work appears, so an idle worker learns of a sweep, a
+// requeue or an audit without sleeping between polls.
 func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req pollRequest
 	if err := c.s.decodeBody(w, r, &req); err != nil {
@@ -314,55 +348,63 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	now := time.Now()
-	c.mu.Lock()
-	ent := c.workers[req.Worker]
-	if ent == nil || ent.lease != req.Lease {
-		c.mu.Unlock()
-		writeJSON(w, http.StatusGone, map[string]any{"error": "stale lease; re-register"})
-		return
-	}
-	ent.beat.Add(1)
+	hold := time.NewTimer(pollHold)
+	defer hold.Stop()
 	var fj *fabricJob
 	var picked []pickedCell
-	for _, id := range c.jobOrder {
-		job := c.jobs[id]
-		if job.finished {
-			continue
+	for {
+		c.mu.Lock()
+		ent := c.workers[req.Worker]
+		if ent == nil || ent.lease != req.Lease {
+			c.mu.Unlock()
+			writeJSON(w, http.StatusGone, map[string]any{"error": "stale lease; re-register"})
+			return
 		}
-		if picked = c.pickLocked(job, req.Worker, req.Lease, max, now); len(picked) > 0 {
-			fj = job
+		ent.beat.Add(1)
+		now := time.Now()
+		for _, id := range c.jobOrder {
+			if picked = c.pickLocked(c.jobs[id], req.Worker, req.Lease, max, now); len(picked) > 0 {
+				fj = c.jobs[id]
+				break
+			}
+		}
+		if fj != nil {
 			break
 		}
-	}
-	resp := pollResponse{WaitMS: 200}
-	rec := assignRecord{Op: "assign", Worker: req.Worker}
-	if fj != nil {
-		resp = pollResponse{
-			SweepID:         fj.j.ID,
-			Source:          fj.spec.Source,
-			In0:             fj.spec.In0,
-			In1:             fj.spec.In1,
-			Retries:         fj.spec.Retries,
-			Timeout:         fj.spec.Timeout,
-			CheckpointEvery: c.s.cfg.CheckpointEvery,
+		kick := c.kick
+		c.mu.Unlock()
+		select {
+		case <-kick:
+			continue
+		case <-hold.C:
+		case <-r.Context().Done():
 		}
-		for _, p := range picked {
-			resp.Cells = append(resp.Cells, cellAssignment{
-				Cell:    p.cell.id,
-				Bench:   p.cell.bench,
-				Config:  p.cell.spec,
-				Attempt: p.cell.attempt,
-				Audit:   p.audit,
-			})
-			rec.Cells = append(rec.Cells, assignCell{ID: p.cell.id, Attempt: p.cell.attempt})
-		}
-	}
-	c.mu.Unlock()
-	if fj == nil {
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, pollResponse{})
 		return
 	}
+	resp := pollResponse{
+		SweepID: fj.j.ID,
+		Source:  fj.spec.Source,
+		In0:     fj.spec.In0,
+		In1:     fj.spec.In1,
+		Retries: fj.spec.Retries,
+		Timeout: fj.spec.Timeout,
+	}
+	if c.s.checkpointsArmed() {
+		resp.CheckpointEvery = c.s.cfg.CheckpointEvery
+	}
+	rec := assignRecord{Op: "assign", Worker: req.Worker}
+	for _, p := range picked {
+		resp.Cells = append(resp.Cells, cellAssignment{
+			Cell:    p.cell.id,
+			Bench:   p.cell.bench,
+			Config:  p.cell.spec,
+			Attempt: p.cell.attempt,
+			Audit:   p.audit,
+		})
+		rec.Cells = append(rec.Cells, assignCell{ID: p.cell.id, Attempt: p.cell.attempt})
+	}
+	c.mu.Unlock()
 	// Durable before visible: the assignment journal line lands (fsync'd)
 	// before the worker can possibly produce a result under it.
 	if fj.assignJournal != nil {
@@ -464,10 +506,7 @@ func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.settleLocked(fj, cell, &req)
-	finished = fj.settledLocked()
-	if finished {
-		fj.finished = true
-	}
+	finished = c.markFinishedLocked(fj)
 	c.mu.Unlock()
 	if finished {
 		c.finishJob(fj)
@@ -511,7 +550,7 @@ func (c *coordinator) settleLocked(fj *fabricJob, cell *fabricCell, req *resultR
 		}
 		if cell.state != cellDone {
 			fj.doneN++
-			c.s.met.cellsDone.Add(1)
+			c.s.met.observeCell(req.Attempts, true, time.Duration(req.ElapsedUS)*time.Microsecond)
 		}
 		cell.state = cellDone
 		cell.winAttempt, cell.winFp = req.Attempt, fp
@@ -540,7 +579,7 @@ func (c *coordinator) settleLocked(fj *fabricJob, cell *fabricCell, req *resultR
 	cell.state = cellFailed
 	cell.errText = req.Err
 	fj.failedN++
-	c.s.met.cellsFailed.Add(1)
+	c.s.met.observeCell(req.Attempts, false, 0)
 	fj.syncFailedLocked()
 }
 
@@ -584,6 +623,7 @@ func (c *coordinator) maybeAuditLocked(fj *fabricJob, cell *fabricCell) {
 	cell.audit = auditPending
 	cell.auditExcl = []string{cell.winWorker}
 	fj.auditsPending++
+	c.wakeLocked()
 }
 
 // auditSampled deterministically maps (sweep, cell) to [0,1) and compares
@@ -618,6 +658,7 @@ func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, ce
 		// Environmental failure (timeout, bad image cache, ...), not an
 		// integrity verdict: revert to pending for another worker.
 		cell.audit--
+		c.wakeLocked()
 		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 		return
@@ -645,6 +686,7 @@ func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, ce
 		cell.audit = tiebreakPending
 		cell.auditExcl = []string{cell.winWorker, req.Worker}
 		fj.syncIntegrityLocked()
+		c.wakeLocked()
 		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 		return
@@ -706,6 +748,7 @@ func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, ce
 		// evidence does not say who is lying yet.
 		cell.auditExcl = append(cell.auditExcl, req.Worker)
 		cell.audit = tiebreakPending
+		c.wakeLocked()
 		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 		return
@@ -717,10 +760,7 @@ func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, ce
 // last thing holding it open, and ack the delivery. Takes ownership of
 // c.mu (locked on entry, released on return).
 func (c *coordinator) finishIfSettledLocked(w http.ResponseWriter, fj *fabricJob) {
-	finished := fj.settledLocked()
-	if finished {
-		fj.finished = true
-	}
+	finished := c.markFinishedLocked(fj)
 	c.mu.Unlock()
 	if finished {
 		c.finishJob(fj)
@@ -744,6 +784,7 @@ func (c *coordinator) rejectCorrupt(req *resultRequest) {
 				if (cell.audit == auditInflight || cell.audit == tiebreakInflight) &&
 					cell.auditAttempt == req.Attempt && cell.auditWorker == req.Worker {
 					cell.audit--
+					c.wakeLocked()
 				}
 			} else {
 				c.dropProducerLocked(fj, cell, req.Worker, req.Attempt)
@@ -769,21 +810,32 @@ func (c *coordinator) dropProducerLocked(fj *fabricJob, cell *fabricCell, worker
 		cell.state = cellPending
 		fj.pendingN++
 		c.s.met.cellsRequeued.Add(1)
+		c.wakeLocked()
 	}
 }
 
-// finishJob records the terminal state exactly like a single-node
-// finishSweep: done (quarantined failures included), journaled as settled
-// in the request journal, journals closed.
+// finishJob settles a sweep whose cells have all settled: its shipped
+// snapshots — resume hints nobody needs any more — are removed, it is
+// journaled as settled in the request journal, its journals are closed,
+// it is counted, and only then does its status read done (quarantined
+// failures included), so a reader that sees done sees it settled on disk
+// and in jobs_done.
 func (c *coordinator) finishJob(fj *fabricJob) {
+	if c.s.checkpointsArmed() { // workers ship only at an armed cadence
+		for _, cid := range fj.order {
+			snapshot.Remove(c.s.cfg.disk(), filepath.Join(c.snapDir, cid+".snap"))
+		}
+	}
+	fj.j.mu.Lock()
+	failedCount := len(fj.j.failed)
+	fj.j.mu.Unlock()
+	c.s.appendRequest(journalRecord{Op: "done", ID: fj.j.ID, OK: failedCount == 0})
+	fj.closeJournals()
+	c.s.met.jobsDone.Add(1)
 	fj.j.mu.Lock()
 	fj.j.state = jobDone
 	fj.j.done = fj.doneN
-	failedCount := len(fj.j.failed)
 	fj.j.mu.Unlock()
-	c.s.met.jobsDone.Add(1)
-	c.s.appendRequest(journalRecord{Op: "done", ID: fj.j.ID, OK: failedCount == 0})
-	fj.closeJournals()
 }
 
 // closeJournals closes both journals. An append racing the finish then
@@ -855,17 +907,15 @@ func (c *coordinator) handleSnapshotPut(w http.ResponseWriter, r *http.Request) 
 }
 
 // shutdown stops the liveness watchdog and closes the journals of
-// unfinished jobs, marking them interrupted; their accept records stand,
-// so the next boot rebuilds them from the journals and the still-running
-// workers' late results settle in.
+// unfinished jobs, marking them interrupted; their accept records and
+// shipped snapshots stand, so the next boot rebuilds them from the
+// journals and the still-running workers' late results settle in.
 func (c *coordinator) shutdown() {
 	c.wd.shutdown()
 	c.mu.Lock()
 	var open []*fabricJob
 	for _, id := range c.jobOrder {
-		if fj := c.jobs[id]; !fj.finished {
-			open = append(open, fj)
-		}
+		open = append(open, c.jobs[id])
 	}
 	c.mu.Unlock()
 	for _, fj := range open {

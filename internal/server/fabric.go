@@ -4,9 +4,11 @@ import (
 	"fgpsim/internal/stats"
 )
 
-// The fabric is the distributed form of the sweep harness: one coordinator
-// (a Server started with Config.Coordinator) owning the grid, and N workers
-// (Worker, worker.go) pulling cells from it over HTTP. The protocol is
+// The fabric is how every sweep runs: one coordinator (every Server) owning
+// the grid, and workers (Worker, worker.go) pulling cells from it over
+// HTTP — N remote ones when the Server is started with Config.Coordinator,
+// otherwise one in-process worker whose requests reach the coordinator's
+// handlers through an in-memory transport (local.go). The protocol is
 // deliberately pull-shaped — workers register, heartbeat, poll for batches
 // of cells, and post results — so the coordinator never needs to reach
 // into a worker's network, and a worker behind the worst kind of partition
@@ -65,7 +67,9 @@ type pollResponse struct {
 	// configuration.
 	CheckpointEvery int64            `json:"checkpoint_every,omitempty"`
 	Cells           []cellAssignment `json:"cells,omitempty"`
-	// WaitMS is the coordinator's backoff hint when Cells is empty.
+	// WaitMS is a backoff hint for an empty answer. This coordinator holds
+	// empty polls instead and sends none; workers still honour a hint from
+	// a coordinator that sends one.
 	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
@@ -113,6 +117,11 @@ type resultRequest struct {
 	// Audit echoes cellAssignment.Audit: this result is an audit
 	// re-execution to compare against the settled winner, not a settlement.
 	Audit bool `json:"audit,omitempty"`
+	// Attempts and ElapsedUS are the cell's simulation attempts and wall
+	// time across them (exp.CellOutcome), folded into the coordinator's
+	// retries and run_latency_us metrics. The digest does not cover them.
+	Attempts  int   `json:"attempts,omitempty"`
+	ElapsedUS int64 `json:"elapsed_us,omitempty"`
 }
 
 // assignRecord is one line of the coordinator's fsync'd assignment

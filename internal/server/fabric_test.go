@@ -10,9 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"fgpsim/internal/bench"
 	"fgpsim/internal/chaos"
 	"fgpsim/internal/core"
+	"fgpsim/internal/enlarge"
 	"fgpsim/internal/exp"
+	"fgpsim/internal/machine"
+	"fgpsim/internal/stats"
 )
 
 // mediumSrc runs long enough (~2M cycles) to cross many 100k-cycle
@@ -66,7 +70,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string, timeout time.Duratio
 	for time.Now().Before(deadline) {
 		_, m := getJSON(t, ts.URL+"/sweep/"+id)
 		switch m["state"] {
-		case "done", "failed", "stuck":
+		case "done", "failed":
 			return m
 		}
 		time.Sleep(25 * time.Millisecond)
@@ -76,18 +80,84 @@ func waitDone(t *testing.T, ts *httptest.Server, id string, timeout time.Duratio
 	return nil
 }
 
-// singleNodeResults runs spec on a plain (non-fabric) server and returns
-// the control results bytes.
+// referenceResults runs spec straight through exp.GridContext — no server,
+// no coordinator, no worker — at the given checkpoint cadence, and renders
+// the results map the way a status reader sees it: keys by KeyString, the
+// JSON decoded and re-encoded as resultsOf does. It is the byte-identity
+// reference for every sweep path, independent of all of them.
+func referenceResults(t *testing.T, spec SweepSpec, checkpointEvery int64) []byte {
+	t.Helper()
+	prepared, cfgs := referenceGrid(t, spec)
+	res, err := exp.GridContext(context.Background(), prepared, cfgs, exp.GridOptions{
+		Retries:         spec.Retries,
+		CheckpointEvery: checkpointEvery,
+		SnapshotDir:     t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make(map[string]*stats.Run, len(res.Runs))
+	for k, st := range res.Runs {
+		runs[KeyString(k)] = st
+	}
+	raw, err := json.Marshal(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded map[string]any
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	return resultsOf(t, map[string]any{"results": decoded})
+}
+
+// referenceGrid prepares spec's programs with exp.Prepare, as the server's
+// prep cache does, and resolves its configurations.
+func referenceGrid(t *testing.T, spec SweepSpec) ([]*exp.Prepared, []machine.Config) {
+	t.Helper()
+	var prepared []*exp.Prepared
+	for _, name := range spec.Benches {
+		p, err := exp.Prepare(bench.ByName(name), enlarge.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, p)
+	}
+	if spec.Source != "" {
+		in0, in1 := []byte(spec.In0), []byte(spec.In1)
+		p, err := exp.Prepare(&bench.Benchmark{
+			Name:   SourceName(spec.Source, spec.In0, spec.In1),
+			Source: spec.Source,
+			Inputs: func(int) ([]byte, []byte) { return in0, in1 },
+		}, enlarge.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, p)
+	}
+	var cfgs []machine.Config
+	for _, cs := range spec.Configs {
+		cfg, err := cs.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	return prepared, cfgs
+}
+
+// singleNodeResults runs spec on a single-node server built from cfg and
+// returns its results bytes.
 func singleNodeResults(t *testing.T, spec SweepSpec, cfg Config) []byte {
 	t.Helper()
 	_, ts := newTestServer(t, cfg)
 	resp, m := postJSON(t, ts.URL+"/sweep", spec)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("control sweep = %d: %v", resp.StatusCode, m)
+		t.Fatalf("single-node sweep = %d: %v", resp.StatusCode, m)
 	}
 	st := waitDone(t, ts, m["id"].(string), 90*time.Second)
 	if st["state"] != "done" {
-		t.Fatalf("control sweep state %v: %v", st["state"], st["error"])
+		t.Fatalf("single-node sweep state %v: %v", st["state"], st["error"])
 	}
 	return resultsOf(t, st)
 }
@@ -136,12 +206,17 @@ func startTestWorker(t *testing.T, ts *httptest.Server, id string, opts WorkerOp
 	return w, stop
 }
 
-// TestFabricByteIdenticalToSingleNode is the tentpole's happy path: a
-// sweep sharded across three workers merges to byte-identical results
-// versus a single-node run of the same spec.
+// TestFabricByteIdenticalToSingleNode is the fabric's happy path: a sweep
+// sharded across three workers merges to results byte-identical to the
+// plain exp.GridContext reference, and so does the same sweep on a
+// single-node server.
 func TestFabricByteIdenticalToSingleNode(t *testing.T) {
 	spec := fabricSpec(tinySrc, 3)
-	control := singleNodeResults(t, spec, Config{JournalDir: t.TempDir(), CheckpointEvery: 100_000})
+	control := referenceResults(t, spec, 100_000)
+	single := singleNodeResults(t, spec, Config{JournalDir: t.TempDir(), CheckpointEvery: 100_000})
+	if !bytes.Equal(single, control) {
+		t.Errorf("single-node results differ from the reference\nsingle:    %s\nreference: %s", single, control)
+	}
 
 	s, ts := newTestServer(t, Config{
 		Coordinator:     true,
@@ -284,7 +359,7 @@ func (f *protocolFixture) doneCount(t *testing.T) float64 {
 // rejected with 400 and changes nothing; the retried intact delivery then
 // merges byte-identically to the single-node control.
 func TestFabricTornResultPost(t *testing.T) {
-	control := singleNodeResults(t, fabricSpec(tinySrc, 1), Config{})
+	control := referenceResults(t, fabricSpec(tinySrc, 1), 0)
 	f := newProtocolFixture(t, "torn-worker")
 
 	whole := f.resultBody(t, "torn-worker", f.cells[0], f.cells[0].Attempt)
@@ -309,7 +384,7 @@ func TestFabricTornResultPost(t *testing.T) {
 // TestFabricDuplicateDelivery: the same result delivered twice (a retry
 // racing a slow ack) is absorbed — one settle, byte-identical merge.
 func TestFabricDuplicateDelivery(t *testing.T) {
-	control := singleNodeResults(t, fabricSpec(tinySrc, 1), Config{})
+	control := referenceResults(t, fabricSpec(tinySrc, 1), 0)
 	f := newProtocolFixture(t, "dup-worker")
 
 	first := f.resultBody(t, "dup-worker", f.cells[0], f.cells[0].Attempt)
@@ -339,7 +414,7 @@ func TestFabricDuplicateDelivery(t *testing.T) {
 // merge keeps the later assignment's records and the final results stay
 // byte-identical to the control.
 func TestFabricLateDeliveryAfterRequeue(t *testing.T) {
-	control := singleNodeResults(t, fabricSpec(tinySrc, 1), Config{})
+	control := referenceResults(t, fabricSpec(tinySrc, 1), 0)
 	f := newProtocolFixture(t, "flaky")
 	oldLease := f.lease
 	oldCells := f.cells
@@ -416,7 +491,7 @@ func TestFabricWorkerDeathRequeues(t *testing.T) {
 	}
 	spec := fabricSpec(mediumSrc, 2) // slow cells: the kill lands mid-flight
 	spec.In0 = ""
-	control := singleNodeResults(t, spec, Config{JournalDir: t.TempDir(), CheckpointEvery: 100_000})
+	control := referenceResults(t, spec, 100_000)
 
 	s, ts := newTestServer(t, Config{
 		Coordinator:     true,
@@ -460,13 +535,23 @@ func TestFabricWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
+// slowResults is an HTTP transport that delays every result delivery.
+type slowResults struct{ delay time.Duration }
+
+func (s slowResults) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/fabric/result" {
+		time.Sleep(s.delay)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestFabricCoordinatorRestart: drain the coordinator mid-sweep, boot a
 // fresh one over the same journal dir, and finish. Completed cells are
 // restored from the cell journal (not re-run), attempts keep ascending
 // thanks to the assignment journal, and the merge matches the control.
 func TestFabricCoordinatorRestart(t *testing.T) {
 	spec := fabricSpec(tinySrc, 3)
-	control := singleNodeResults(t, spec, Config{})
+	control := referenceResults(t, spec, 0)
 	dir := t.TempDir()
 	cfg := Config{
 		Coordinator:     true,
@@ -481,7 +566,11 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	}
 	s1.Start()
 	ts1 := httptest.NewServer(s1.Handler())
-	_, stopW1 := startTestWorker(t, ts1, "w1", WorkerOptions{SnapshotDir: t.TempDir(), Concurrency: 1})
+	// Slow result delivery keeps the short sweep in flight long enough for
+	// the drain below to land mid-sweep: a worker polls again the moment a
+	// result is acknowledged, so undelayed tiny cells finish in a few ms.
+	_, stopW1 := startTestWorker(t, ts1, "w1", WorkerOptions{SnapshotDir: t.TempDir(), Concurrency: 1,
+		Client: &http.Client{Transport: slowResults{50 * time.Millisecond}}})
 	resp, m := postJSON(t, ts1.URL+"/sweep", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep = %d: %v", resp.StatusCode, m)

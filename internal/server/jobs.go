@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"fgpsim/internal/bench"
 	"fgpsim/internal/chaos"
 	"fgpsim/internal/exp"
 	"fgpsim/internal/machine"
@@ -59,10 +59,10 @@ type RunRequest struct {
 }
 
 // SweepSpec is the body of POST /sweep: a program set crossed with a
-// configuration grid, executed asynchronously under the sweep harness's
-// retry/quarantine/journal semantics. It is also the record persisted in
-// the request journal, so it must stay self-contained: everything needed
-// to re-run the sweep after a crash is in here.
+// configuration grid, executed asynchronously cell by cell under the
+// sweep harness's retry/quarantine/journal semantics. It is also the
+// record persisted in the request journal, so it must stay self-contained:
+// everything needed to re-run the sweep after a crash is in here.
 type SweepSpec struct {
 	Benches []string     `json:"benches,omitempty"`
 	Source  string       `json:"source,omitempty"`
@@ -73,12 +73,27 @@ type SweepSpec struct {
 	Timeout string       `json:"timeout,omitempty"` // per-cell run timeout
 }
 
+// validate rejects at accept what /run would reject: malformed configs
+// and timeouts, unknown benchmarks, and a source that does not compile.
+// Anything that passes runs cell by cell; a cell that still fails is
+// quarantined, never the whole sweep.
 func (s *SweepSpec) validate() error {
 	if len(s.Benches) == 0 && s.Source == "" {
 		return fmt.Errorf("server: sweep needs benches or source")
 	}
 	if len(s.Benches) > 0 && s.Source != "" {
 		return fmt.Errorf("server: benches and source are mutually exclusive")
+	}
+	for _, name := range s.Benches {
+		if bench.ByName(name) == nil {
+			return fmt.Errorf("server: unknown benchmark %q", name)
+		}
+	}
+	if s.Source != "" {
+		b := &bench.Benchmark{Name: sourceName(s.Source, s.In0, s.In1), Source: s.Source}
+		if _, err := b.Program(); err != nil {
+			return err
+		}
 	}
 	if len(s.Configs) == 0 {
 		return fmt.Errorf("server: sweep needs at least one config")
@@ -96,7 +111,7 @@ func (s *SweepSpec) validate() error {
 	return nil
 }
 
-// cells is the sweep's grid size (its admission weight driver).
+// cells is the sweep's grid size.
 func (s *SweepSpec) cells() int {
 	progs := len(s.Benches)
 	if progs == 0 {
@@ -105,14 +120,15 @@ func (s *SweepSpec) cells() int {
 	return progs * len(s.Configs)
 }
 
-// Job states. A job is terminal in done/failed/stuck; "interrupted" means a
-// drain stopped it mid-flight and the journal will resume it next boot.
+// Job states. A job is terminal in done/failed; "failed" means the sweep
+// could not start at all (its journals would not open), while failed cells
+// leave it "done" with a failed list. "interrupted" means a drain stopped
+// it mid-flight and the journal will resume it next boot.
 const (
 	jobQueued      = "queued"
 	jobRunning     = "running"
 	jobDone        = "done"
 	jobFailed      = "failed"
-	jobStuck       = "stuck"
 	jobInterrupted = "interrupted"
 )
 
@@ -121,23 +137,19 @@ type job struct {
 	ID   string
 	Spec SweepSpec
 
-	beat    atomic.Int64 // heartbeat shared with every cell's engine
-	preempt atomic.Bool  // set by the watchdog to request a cooperative stop
-
-	mu       sync.Mutex
-	state    string
-	done     int
-	total    int
-	requeues int
-	failed   []string
-	errText  string
-	results  map[string]*stats.Run
+	mu      sync.Mutex
+	state   string
+	done    int
+	total   int
+	failed  []string
+	errText string
+	results map[string]*stats.Run
 	// digests maps the same keys as results to each winner's content digest
 	// (exp.DigestStats), so a status reader can verify the served bytes
-	// end-to-end. Fabric sweeps only; single-node sweeps leave it empty.
+	// end-to-end.
 	digests map[string]string
-	// Integrity observability (fabric sweeps): audit verdicts and rejected
-	// corrupt deliveries, mirrored from the coordinator's fabricJob.
+	// Integrity observability: audit verdicts and rejected corrupt
+	// deliveries, mirrored from the coordinator's fabricJob.
 	auditsRun         int
 	auditsDisagreed   int
 	auditsResolved    int
@@ -149,39 +161,20 @@ func newJob(id string, spec SweepSpec) *job {
 		results: make(map[string]*stats.Run), digests: make(map[string]string)}
 }
 
-func (j *job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
-func (j *job) setProgress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	j.mu.Unlock()
-}
-
-func (j *job) recordFailure(ce *exp.CellError) {
-	j.mu.Lock()
-	j.failed = append(j.failed, ce.Error())
-	j.mu.Unlock()
-}
-
 // jobStatus is the JSON shape of GET /sweep/{id}.
 type jobStatus struct {
-	ID       string                `json:"id"`
-	State    string                `json:"state"`
-	Done     int                   `json:"done"`
-	Total    int                   `json:"total"`
-	Requeues int                   `json:"requeues,omitempty"`
-	Failed   []string              `json:"failed,omitempty"`
-	Error    string                `json:"error,omitempty"`
-	Results  map[string]*stats.Run `json:"results,omitempty"`
+	ID      string                `json:"id"`
+	State   string                `json:"state"`
+	Done    int                   `json:"done"`
+	Total   int                   `json:"total"`
+	Failed  []string              `json:"failed,omitempty"`
+	Error   string                `json:"error,omitempty"`
+	Results map[string]*stats.Run `json:"results,omitempty"`
 	// Digests carries each result's content digest alongside Results, so a
 	// client can verify the bytes it received against what the coordinator
 	// journaled and audited.
 	Digests map[string]string `json:"digests,omitempty"`
-	// Integrity counters (fabric sweeps, DESIGN.md §17).
+	// Integrity counters (DESIGN.md §17).
 	AuditsRun         int `json:"audits_run,omitempty"`
 	AuditsDisagreed   int `json:"audits_disagreed,omitempty"`
 	AuditsResolved    int `json:"audits_resolved,omitempty"`
@@ -191,7 +184,7 @@ type jobStatus struct {
 func (j *job) status(withResults bool) jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := jobStatus{ID: j.ID, State: j.state, Done: j.done, Total: j.total, Requeues: j.requeues,
+	st := jobStatus{ID: j.ID, State: j.state, Done: j.done, Total: j.total,
 		Failed: append([]string(nil), j.failed...), Error: j.errText,
 		AuditsRun: j.auditsRun, AuditsDisagreed: j.auditsDisagreed,
 		AuditsResolved: j.auditsResolved, IntegrityFailures: j.integrityFailures}

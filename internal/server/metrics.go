@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"fgpsim/internal/chaos"
 	"fgpsim/internal/exp"
@@ -24,8 +25,7 @@ var shipRetries atomic.Int64
 // a stats.Hist reporting p50/p99 the way the paper's harness reports
 // block-size percentiles.
 type metrics struct {
-	shed          expvar.Int // requests rejected 429 by admission control
-	watchdogKills expvar.Int // runs killed for lack of engine progress
+	shed          expvar.Int // requests rejected 429 (/run admission, /sweep backlog)
 	retries       expvar.Int // extra simulation attempts across sweep cells
 	runsOK        expvar.Int // successful /run simulations
 	runsFailed    expvar.Int // failed /run simulations (any non-200)
@@ -35,10 +35,8 @@ type metrics struct {
 	cellsDone     expvar.Int // sweep cells completed by simulation
 	cellsRestored expvar.Int // sweep cells restored from a cell journal
 	cellsFailed   expvar.Int // sweep cells quarantined after retries
-	preempts      expvar.Int // sweep cells preempted to a snapshot mid-run
-	jobsRequeued  expvar.Int // sweeps requeued after a cooperative preemption
 
-	// Fabric counters (coordinator role only).
+	// Fabric counters.
 	cellsStolen      expvar.Int // cells run by a worker other than their shard owner
 	cellsRequeued    expvar.Int // cell assignments returned to pending (death, supersede, drain)
 	workersDead      expvar.Int // workers declared dead by the liveness watchdog
@@ -59,15 +57,14 @@ type metrics struct {
 	latency stats.Hist // per-simulation wall clock (/run and sweep cells)
 }
 
-// observeCell folds one settled sweep cell into the counters (the
-// exp.GridOptions.Observer hook); the caller observes latency separately.
-func (m *metrics) observeCell(attempts int, ok, restored bool) {
-	switch {
-	case restored:
-		m.cellsRestored.Add(1)
-	case ok:
+// observeCell folds the first settlement of one sweep cell into the
+// counters, with the attempts and wall time its worker reported; only a
+// successful cell's wall time feeds the latency histogram.
+func (m *metrics) observeCell(attempts int, ok bool, d time.Duration) {
+	if ok {
 		m.cellsDone.Add(1)
-	default:
+		m.latency.Observe(d)
+	} else {
 		m.cellsFailed.Add(1)
 	}
 	if attempts > 1 {
@@ -75,15 +72,15 @@ func (m *metrics) observeCell(attempts int, ok, restored bool) {
 	}
 }
 
-// snapshot renders every metric; queueDepth, inflight, and workersLive are
-// sampled gauges supplied by the server.
-func (m *metrics) snapshot(queueDepth int64, inflight, workersLive int) map[string]any {
+// snapshot renders every metric; queueDepth, inflight, workersLive and
+// watchdogKills are sampled from the server's parts.
+func (m *metrics) snapshot(queueDepth int64, inflight, workersLive int, watchdogKills int64) map[string]any {
 	return map[string]any{
 		"queue_depth":       queueDepth,
 		"inflight":          inflight,
 		"workers_live":      workersLive,
 		"shed_total":        m.shed.Value(),
-		"watchdog_kills":    m.watchdogKills.Value(),
+		"watchdog_kills":    watchdogKills,
 		"retries":           m.retries.Value(),
 		"runs_ok":           m.runsOK.Value(),
 		"runs_failed":       m.runsFailed.Value(),
@@ -93,8 +90,6 @@ func (m *metrics) snapshot(queueDepth int64, inflight, workersLive int) map[stri
 		"cells_done":        m.cellsDone.Value(),
 		"cells_restored":    m.cellsRestored.Value(),
 		"cells_failed":      m.cellsFailed.Value(),
-		"preempts":          m.preempts.Value(),
-		"jobs_requeued":     m.jobsRequeued.Value(),
 		"cells_stolen":      m.cellsStolen.Value(),
 		"cells_requeued":    m.cellsRequeued.Value(),
 		"workers_dead":      m.workersDead.Value(),

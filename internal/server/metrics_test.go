@@ -20,10 +20,8 @@ func TestMetricsConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.observeCell(1+i%3, i%2 == 0, i%5 == 0)
-				m.latency.Observe(time.Duration(w+1) * time.Millisecond)
-				m.preempts.Add(1)
-				m.jobsRequeued.Add(1)
+				m.observeCell(1+i%3, i%2 == 0, time.Duration(w+1)*time.Millisecond)
+				m.cellsRestored.Add(1)
 				m.shed.Add(1)
 				m.cellsStolen.Add(1)
 				m.cellsRequeued.Add(1)
@@ -50,8 +48,8 @@ func TestMetricsConcurrentRecording(t *testing.T) {
 					return
 				default:
 				}
-				snap := m.snapshot(3, 2, 1)
-				cells := snap["cells_done"].(int64) + snap["cells_restored"].(int64) + snap["cells_failed"].(int64)
+				snap := m.snapshot(3, 2, 1, 0)
+				cells := snap["cells_done"].(int64) + snap["cells_failed"].(int64)
 				if cells < 0 || cells > 2000 {
 					t.Errorf("cell counters out of range: %d", cells)
 					return
@@ -66,22 +64,25 @@ func TestMetricsConcurrentRecording(t *testing.T) {
 	close(stop)
 	<-done
 
-	snap := m.snapshot(0, 0, 0)
-	cells := snap["cells_done"].(int64) + snap["cells_restored"].(int64) + snap["cells_failed"].(int64)
+	snap := m.snapshot(0, 0, 0, 0)
+	cells := snap["cells_done"].(int64) + snap["cells_failed"].(int64)
 	if cells != 2000 {
 		t.Errorf("settled cells = %d, want 2000", cells)
 	}
-	if got := snap["preempts"].(int64); got != 2000 {
-		t.Errorf("preempts = %d, want 2000", got)
+	// Cell i took 1+i%3 attempts: Σ i%3 over [0, 500) is 499 retries per
+	// goroutine.
+	if got := snap["retries"].(int64); got != 4*499 {
+		t.Errorf("retries = %d, want %d", got, 4*499)
 	}
-	for _, k := range []string{"cells_stolen", "cells_requeued", "workers_dead", "snapshots_shipped",
+	for _, k := range []string{"cells_restored", "cells_stolen", "cells_requeued", "workers_dead", "snapshots_shipped",
 		"audits_run", "audits_disagreed", "integrity_failures", "workers_quarantined",
 		"scrub_passes", "scrub_repaired", "scrub_quarantined", "scrub_corrupt_records"} {
 		if got := snap[k].(int64); got != 2000 {
 			t.Errorf("%s = %d, want 2000", k, got)
 		}
 	}
-	if lat := snap["run_latency_us"].(map[string]any); lat["count"].(int64) != 2000 {
-		t.Errorf("latency count = %v, want 2000", lat["count"])
+	// Only successful cells (every other one) feed the latency histogram.
+	if lat := snap["run_latency_us"].(map[string]any); lat["count"].(int64) != 1000 {
+		t.Errorf("latency count = %v, want 1000", lat["count"])
 	}
 }

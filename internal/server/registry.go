@@ -129,11 +129,12 @@ func (c *coordinator) markDead(id string, lease uint64) {
 }
 
 // dropAssignmentsLocked removes every assignment held by (worker, lease)
-// across all jobs; cells left with no live assignee go back to pending,
-// to be re-assigned — snapshot attached, if one was shipped — by the next
-// poll. An audit in flight on the departing worker reverts to its pending
-// state so another worker re-runs it (a forgotten audit would hold the
-// sweep's finish condition open forever). Requires c.mu.
+// across all unfinished jobs; cells left with no live assignee go back to
+// pending, to be re-assigned — snapshot attached, if one was shipped — by
+// the next poll, which held polls are woken to make. An audit in flight on
+// the departing worker reverts to its pending state so another worker
+// re-runs it (a forgotten audit would hold the sweep's finish condition
+// open forever). Requires c.mu.
 func (c *coordinator) dropAssignmentsLocked(worker string, lease uint64) {
 	requeued := 0
 	for _, id := range c.jobOrder {
@@ -161,6 +162,7 @@ func (c *coordinator) dropAssignmentsLocked(worker string, lease uint64) {
 	if requeued > 0 {
 		c.s.met.cellsRequeued.Add(int64(requeued))
 	}
+	c.wakeLocked()
 }
 
 // strikeLocked charges one integrity strike against a worker's current

@@ -3,14 +3,16 @@
 // requests, runs them through the existing exp.Prepared/exp.GridContext
 // pipeline, and is built to stay up under the failure modes a
 // production-scale deployment actually meets — overload (bounded admission
-// queue with explicit 429 shedding), runaway requests (per-request
-// deadlines propagated into core.RunContext), wedged engines (a
-// cycle-progress watchdog that kills runs whose heartbeat counter stops,
-// with a typed *StuckRunError), corrupt cells (the sweep harness's panic
-// quarantine and retries), process death (an fsync'd JSON-lines request
-// journal from which unfinished sweeps resume on restart), and deploys
-// (graceful drain on SIGTERM: stop admitting, finish or journal in-flight
-// work, exit 0). See DESIGN.md §11.
+// queue and sweep backlog with explicit 429 shedding), runaway requests
+// (per-request deadlines propagated into core.RunContext), wedged engines
+// (a cycle-progress watchdog that kills runs whose heartbeat counter
+// stops, with a typed *StuckRunError), corrupt cells (the sweep harness's
+// panic quarantine and retries), process death (fsync'd JSON-lines
+// request, cell and assignment journals from which unfinished sweeps
+// resume on restart), and deploys (graceful drain on SIGTERM: stop
+// admitting, finish or journal in-flight work, exit 0). Every sweep runs
+// one way: through the coordinator (coordinator.go), cell by cell, on an
+// in-process worker or on remote ones. See DESIGN.md §11 and §15.
 package server
 
 import (
@@ -45,12 +47,13 @@ const statusClientClosedRequest = 499
 // Config sizes the daemon's robustness machinery. Zero values select the
 // documented defaults.
 type Config struct {
-	// QueueDepth bounds requests admitted but not yet executing; beyond it
-	// the server sheds with 429 (default 64).
+	// QueueDepth bounds /run requests admitted but not yet executing, and
+	// separately the sweeps accepted but not yet finished; beyond either
+	// bound the server sheds with 429 (default 64).
 	QueueDepth int
-	// Concurrency is the weighted limiter's capacity in worker units
-	// (default GOMAXPROCS). A /run costs 1; a sweep costs its cell count,
-	// clamped to the capacity — its cells run on that many workers.
+	// Concurrency is the limiter's slot count (default GOMAXPROCS). Each
+	// /run and each sweep cell running on the in-process worker holds one
+	// slot.
 	Concurrency int
 	// DefaultTimeout applies to /run requests that name no timeout;
 	// MaxTimeout caps what they may ask for (defaults 2m / 10m).
@@ -62,28 +65,25 @@ type Config struct {
 	WatchdogInterval time.Duration
 	WatchdogStall    time.Duration
 	// JournalDir, when non-empty, holds the fsync'd request journal, the
-	// per-sweep cell journals, and the cell snapshot directory; unfinished
-	// sweeps found there are resumed on Start. Empty disables persistence
-	// (drains then lose interrupted sweeps).
+	// per-sweep cell and assignment journals, and the snapshot directories;
+	// unfinished sweeps found there are resumed on Start. Empty disables
+	// persistence (drains then lose interrupted sweeps) and keeps shipped
+	// snapshots in a temp dir removed on Drain.
 	JournalDir string
 	// MaxBody caps request bodies (default 8 MiB).
 	MaxBody int64
 	// CheckpointEvery, when positive and JournalDir is set, arms durable
 	// mid-run checkpoints for sweep cells: every N simulated cycles each
-	// cell parks a snapshot under JournalDir/snapshots, so an interrupted
-	// sweep (drain, crash, preemption) resumes mid-cell instead of
+	// cell parks a snapshot — the in-process worker's under
+	// JournalDir/snapshots, a remote worker's shipped on to the
+	// coordinator's JournalDir/fabric-snapshots — so an interrupted sweep
+	// (drain, crash, worker death) resumes mid-cell instead of
 	// re-simulating from cycle 0.
 	CheckpointEvery int64
-	// PreemptAfter, when positive and checkpoints are armed, upgrades the
-	// watchdog from kill-only to preempt-and-requeue: a sweep that is still
-	// making progress but has held the limiter longer than this while other
-	// work is queued is asked to stop at its next checkpoint boundary, its
-	// cells snapshot themselves, and the job is requeued behind the waiting
-	// work. Stalled (non-beating) runs are still killed, never requeued.
-	PreemptAfter time.Duration
-	// Coordinator switches the server into fabric-coordinator mode: sweeps
-	// are sharded across registered workers (POST /fabric/*) instead of
-	// simulated in-process. /run still simulates locally. See DESIGN.md §15.
+	// Coordinator makes the server coordinator only: sweeps are sharded
+	// across registered remote workers (POST /fabric/*, public only in this
+	// role) and no in-process worker runs. /run still simulates locally.
+	// See DESIGN.md §15.
 	Coordinator bool
 	// WorkerDeadAfter is how long a registered worker's request counter may
 	// sit still before the liveness watchdog declares it dead and requeues
@@ -161,19 +161,29 @@ type Server struct {
 	wd    *watchdog
 	met   *metrics
 	prep  *prepCache
-	coord *coordinator // non-nil in coordinator mode
+	coord *coordinator
+
+	// local is the in-process worker (nil with Config.Coordinator); it
+	// reaches the coordinator through fabric, a mux holding only the
+	// /fabric/* routes. stopLocal ends its Run.
+	local     *Worker
+	fabric    *http.ServeMux
+	stopLocal context.CancelFunc
 
 	// reqJournal is nil when persistence is off.
 	reqJournal *exp.Journal
+	// tmpDir ("" with JournalDir set) holds the snapshot directories of a
+	// journal-less server; Drain removes it.
+	tmpDir string
 
-	// baseCtx parents every sweep (and force-cancels /run work on drain
-	// timeout); baseStop cancels it with errDraining.
+	// baseCtx parents the in-process worker's cells (and force-cancels
+	// them and /run work on drain timeout); baseStop cancels it with
+	// errDraining.
 	baseCtx  context.Context
 	baseStop context.CancelCauseFunc
 
 	draining  atomic.Bool
 	drainOnce sync.Once
-	inflight  atomic.Int64
 	wg        sync.WaitGroup
 
 	// scrubStop ends the background scrubber (scrub.go); nil when the
@@ -186,9 +196,11 @@ type Server struct {
 	recovered []journalRecord
 }
 
-// New builds a server and, when persistence is configured, replays the
-// request journal to find sweeps a previous process accepted but never
-// settled. Call Start to begin background work (watchdog, resumed sweeps).
+// New builds a server — its coordinator and, unless Config.Coordinator is
+// set, its in-process worker — and, when persistence is configured,
+// replays the request journal to find sweeps a previous process accepted
+// but never settled. Call Start to begin background work (watchdogs, the
+// worker, resumed sweeps).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -200,22 +212,29 @@ func New(cfg Config) (*Server, error) {
 		jobs:  make(map[string]*job),
 	}
 	s.baseCtx, s.baseStop = context.WithCancelCause(context.Background())
-	if cfg.Coordinator {
-		coord, err := newCoordinator(s)
-		if err != nil {
-			return nil, fmt.Errorf("server: coordinator: %w", err)
-		}
-		s.coord = coord
-	}
-	if cfg.JournalDir != "" {
-		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
+	dir := cfg.JournalDir
+	if dir == "" {
+		var err error
+		if s.tmpDir, err = os.MkdirTemp("", "fgpsim-simd-"); err != nil {
 			return nil, err
 		}
-		if cfg.CheckpointEvery > 0 {
-			if err := os.MkdirAll(s.snapshotDir(), 0o755); err != nil {
-				return nil, err
-			}
+		dir = s.tmpDir
+	}
+	coord, err := newCoordinator(s, filepath.Join(dir, "fabric-snapshots"))
+	if err != nil {
+		os.RemoveAll(s.tmpDir)
+		return nil, fmt.Errorf("server: coordinator: %w", err)
+	}
+	s.coord = coord
+	s.fabric = http.NewServeMux()
+	coord.routes(s.fabric)
+	if !cfg.Coordinator {
+		if s.local, err = s.newLocalWorker(filepath.Join(dir, "snapshots")); err != nil {
+			os.RemoveAll(s.tmpDir)
+			return nil, fmt.Errorf("server: in-process worker: %w", err)
 		}
+	}
+	if cfg.JournalDir != "" {
 		path := s.requestJournalPath()
 		recs, err := pendingJobs(cfg.disk(), path)
 		if err != nil {
@@ -241,10 +260,11 @@ func (s *Server) cellJournalPath(id string) string {
 	return filepath.Join(s.cfg.JournalDir, "sweep-"+id+".cells")
 }
 
-// snapshotDir is where sweep cells park mid-run snapshots. It is shared
-// across jobs: cell snapshot files are named by a hash of the full cell
-// key and guarded by a run fingerprint, so an unrelated job can never
-// resume from them, while a re-submitted identical sweep can.
+// snapshotDir is where the in-process worker's cells park mid-run
+// snapshots. It is shared across jobs: cell snapshot files are named by a
+// hash of the full cell key and guarded by a run fingerprint, so an
+// unrelated job can never resume from them, while a re-submitted identical
+// sweep can.
 func (s *Server) snapshotDir() string {
 	return filepath.Join(s.cfg.JournalDir, "snapshots")
 }
@@ -255,57 +275,71 @@ func (s *Server) checkpointsArmed() bool {
 	return s.cfg.CheckpointEvery > 0 && s.cfg.JournalDir != ""
 }
 
-// Start launches the watchdog and re-enqueues journal-recovered sweeps.
-// Recovered sweeps bypass the shed bound — they were admitted by a
-// previous process and the journal's whole point is not to drop them —
-// but they share the limiter with new work, so a restart under load
-// degrades gracefully instead of stampeding.
+// Start launches the watchdogs and the in-process worker, and hands
+// journal-recovered sweeps back to the coordinator. Recovered sweeps bypass
+// the shed bound — they were admitted by a previous process and the
+// journal's whole point is not to drop them — but their cells share the
+// limiter with new work, so a restart under load degrades gracefully
+// instead of stampeding.
 func (s *Server) Start() {
 	s.wd.start()
-	if s.coord != nil {
-		s.coord.wd.start()
-	}
+	s.coord.wd.start()
 	if s.cfg.ScrubInterval > 0 && s.cfg.JournalDir != "" {
 		s.scrubStop = make(chan struct{})
 		s.wg.Add(1)
 		go s.scrubLoop()
 	}
+	if s.local != nil {
+		ctx, stop := context.WithCancel(context.Background())
+		s.stopLocal = stop
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.local.Run(ctx)
+		}()
+	}
 	for _, rec := range s.recovered {
 		j := newJob(rec.ID, *rec.Spec)
 		s.addJob(j)
 		s.met.jobsResumed.Add(1)
-		if s.coord != nil {
-			// Rebuild the fabric job from its cell and assignment journals:
-			// completed cells are restored, unfinished ones requeue, and the
-			// attempt high-water mark keeps merging deterministic against
-			// late results from workers that never noticed the crash.
-			if err := s.coord.start(j, true); err != nil {
-				j.mu.Lock()
-				j.state = jobFailed
-				j.errText = err.Error()
-				j.mu.Unlock()
-			}
-			continue
-		}
-		t := s.admit.reserveForced()
-		s.wg.Add(1)
-		go s.runSweep(j, t)
+		// Rebuild the job from its cell and assignment journals: completed
+		// cells are restored, unfinished ones requeue, and the attempt
+		// high-water mark keeps merging deterministic against late results
+		// from workers that never noticed the crash.
+		s.startSweep(j, true)
 	}
 	s.recovered = nil
 }
 
+// startSweep hands an accepted sweep to the coordinator, failing the job
+// if its journals cannot be opened.
+func (s *Server) startSweep(j *job, recovered bool) error {
+	err := s.coord.start(j, recovered)
+	if err != nil {
+		j.mu.Lock()
+		j.state = jobFailed
+		j.errText = err.Error()
+		j.mu.Unlock()
+	}
+	return err
+}
+
 // Drain gracefully shuts the server down: stop admitting (readyz flips to
-// 503, new work is rejected), let in-flight work finish, and if ctx
-// expires first force-cancel what remains — sweeps have journaled every
-// completed cell, so nothing settled is lost and the interrupted sweeps
-// resume on the next boot. Always returns nil after the journal is closed,
-// so a drain-triggered exit is exit 0 by construction. Idempotent: extra
-// calls (a second SIGTERM) wait for the first drain and return nil.
+// 503, new work is rejected), stop the in-process worker polling, let
+// in-flight work finish, and if ctx expires first force-cancel what
+// remains — every settled cell is already journaled, so nothing settled is
+// lost and the interrupted sweeps resume on the next boot. Always returns
+// nil after the journals are closed, so a drain-triggered exit is exit 0
+// by construction. Idempotent: extra calls (a second SIGTERM) wait for the
+// first drain and return nil.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() {
 		if s.scrubStop != nil {
 			close(s.scrubStop)
+		}
+		if s.stopLocal != nil {
+			s.stopLocal()
 		}
 		done := make(chan struct{})
 		go func() {
@@ -319,12 +353,11 @@ func (s *Server) Drain(ctx context.Context) error {
 			<-done
 		}
 		s.wd.shutdown()
-		if s.coord != nil {
-			s.coord.shutdown()
-		}
+		s.coord.shutdown()
 		if s.reqJournal != nil {
 			s.reqJournal.Close()
 		}
+		os.RemoveAll(s.tmpDir)
 	})
 	return nil
 }
@@ -338,7 +371,9 @@ func (s *Server) appendRequest(rec journalRecord) error {
 	return s.reqJournal.Append(rec)
 }
 
-// Handler returns the service's HTTP surface.
+// Handler returns the service's HTTP surface. The /fabric/* worker
+// protocol is part of it only in the coordinator role; a single node's
+// in-process worker reaches it privately.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -347,8 +382,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /run", s.handleRun)
 	mux.HandleFunc("POST /sweep", s.handleSweep)
 	mux.HandleFunc("GET /sweep/{id}", s.handleSweepStatus)
-	if s.coord != nil {
-		s.coord.routes(mux)
+	if s.cfg.Coordinator {
+		mux.Handle("/fabric/", s.fabric)
 	}
 	return mux
 }
@@ -366,11 +401,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	live := 0
-	if s.coord != nil {
-		live = s.coord.workersLive()
-	}
-	writeJSON(w, http.StatusOK, s.met.snapshot(s.admit.queued(), int(s.inflight.Load()), live))
+	writeJSON(w, http.StatusOK, s.met.snapshot(s.admit.queued(), s.admit.lim.inUse(), s.coord.workersLive(), s.wd.kills.Load()))
 }
 
 // decodeBody decodes a JSON request body under the size cap.
@@ -427,7 +458,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": rerr.Error()})
 		return
 	}
-	release, err := t.acquire(r.Context(), 1)
+	release, err := t.acquire(r.Context())
 	if err != nil {
 		// The client gave up while queued.
 		writeJSON(w, statusClientClosedRequest, map[string]any{"error": "client closed request while queued"})
@@ -436,8 +467,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.wg.Add(1)
 	defer s.wg.Done()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 
 	p, err := s.prepareRun(&req)
 	if err != nil {
@@ -523,7 +552,6 @@ func (s *Server) classifyRunError(ctx context.Context, err error) (int, string) 
 	var stuck *StuckRunError
 	switch {
 	case errors.As(cause, &stuck):
-		s.met.watchdogKills.Add(1)
 		return http.StatusInternalServerError, "stuck run killed by watchdog"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline exceeded"
@@ -536,6 +564,9 @@ func (s *Server) classifyRunError(ctx context.Context, err error) (int, string) 
 
 // ---------- POST /sweep, GET /sweep/{id} ----------
 
+// handleSweep accepts a sweep: validate it, shed it when QueueDepth sweeps
+// are already unfinished, journal the acceptance, and hand it to the
+// coordinator, which runs its cells on whichever workers poll.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "draining"})
@@ -550,21 +581,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	// A coordinator does not simulate in-process, so fabric sweeps skip the
-	// compute limiter: admission pressure lives on the workers.
-	var t *ticket
-	if s.coord == nil {
-		var rerr error
-		t, rerr = s.admit.reserve()
-		if rerr != nil {
-			var oe *OverloadError
-			if errors.As(rerr, &oe) {
-				s.shed(w, oe)
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": rerr.Error()})
-			return
-		}
+	if n := s.coord.unfinished(); n >= s.cfg.QueueDepth {
+		s.shed(w, &OverloadError{Backlog: n, RetryAfter: time.Second})
+		return
 	}
 	s.mu.Lock()
 	s.seq++
@@ -573,23 +592,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Journal the acceptance before acknowledging it: once the client has
 	// a 202 the sweep must survive a crash.
 	if err := s.appendRequest(journalRecord{Op: "accept", ID: id, Spec: &spec, SpecHash: specHash(&spec)}); err != nil {
-		if t != nil {
-			t.abandon()
-		}
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("journal: %v", err)})
 		return
 	}
 	j := newJob(id, spec)
 	s.addJob(j)
 	s.met.jobsAccepted.Add(1)
-	if s.coord != nil {
-		if err := s.coord.start(j, false); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
-			return
-		}
-	} else {
-		s.wg.Add(1)
-		go s.runSweep(j, t)
+	if err := s.startSweep(j, false); err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "cells": spec.cells()})
 }
@@ -613,177 +624,4 @@ func (s *Server) getJob(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-// runSweep executes one accepted sweep in the background: wait for limiter
-// weight, resolve the spec, and drive exp.GridContext with journaling,
-// retries, quarantine, and the shared heartbeat. Terminal states are
-// journaled as done; a drain interruption is deliberately NOT, so the next
-// boot resumes the sweep from its cell journal.
-func (s *Server) runSweep(j *job, t *ticket) {
-	defer s.wg.Done()
-	weight := j.Spec.cells()
-	release, err := t.acquire(s.baseCtx, weight)
-	if err != nil {
-		j.setState(jobInterrupted)
-		return
-	}
-	defer release()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	j.setState(jobRunning)
-
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	defer cancel(nil)
-	it := &watchItem{id: j.ID, beat: &j.beat, cancel: cancel}
-	if s.checkpointsArmed() && s.cfg.PreemptAfter > 0 {
-		it.preempt, it.preemptAfter, it.queued = &j.preempt, s.cfg.PreemptAfter, s.admit.queued
-	}
-	unwatch := s.wd.watch(it)
-	defer unwatch()
-
-	prepared, cfgs, err := s.resolveSweep(j.Spec)
-	if err != nil {
-		s.finishSweep(j, jobFailed, err)
-		return
-	}
-
-	var cellTimeout time.Duration
-	if j.Spec.Timeout != "" {
-		cellTimeout, _ = time.ParseDuration(j.Spec.Timeout) // validated at accept
-	}
-	opts := exp.GridOptions{
-		Workers:    s.admit.lim.clamp(weight),
-		Retries:    j.Spec.Retries,
-		RunTimeout: cellTimeout,
-		Disk:       s.cfg.Disk,
-		Journal:    s.cellJournalPath(j.ID),
-		Limits:     core.Limits{Heartbeat: &j.beat},
-		Progress:   j.setProgress,
-		Observer: func(o exp.CellOutcome) {
-			if o.Preempted {
-				s.met.preempts.Add(1)
-				return
-			}
-			s.met.observeCell(o.Attempts, o.Err == nil, o.Restored)
-			if !o.Restored && o.Err == nil {
-				s.met.latency.Observe(o.Duration)
-			}
-			if o.Err != nil {
-				j.recordFailure(o.Err)
-			}
-		},
-	}
-	if s.checkpointsArmed() {
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.SnapshotDir = s.snapshotDir()
-		opts.Preempt = &j.preempt
-	}
-	res, err := exp.GridContext(ctx, prepared, cfgs, opts)
-	j.mu.Lock()
-	for k, st := range res.Runs {
-		j.results[keyString(k)] = st
-	}
-	j.mu.Unlock()
-
-	switch {
-	case err == nil:
-		s.finishSweep(j, jobDone, nil)
-	case isCellError(err):
-		// Quarantined cell failures: the sweep itself is settled.
-		s.finishSweep(j, jobDone, nil)
-	case isPreempted(err):
-		if s.draining.Load() {
-			// Preempted into a drain: leave the accept record standing so the
-			// next boot resumes the sweep from its snapshots and cell journal.
-			j.mu.Lock()
-			j.state = jobInterrupted
-			j.errText = "interrupted by drain; resumes on restart"
-			j.mu.Unlock()
-			return
-		}
-		// Requeue behind the work that triggered the preemption. The flag is
-		// cleared first — the rerun starts a fresh watchdog registration with
-		// its own PreemptAfter grace, so a just-resumed job is not instantly
-		// re-preempted by the still-set flag.
-		j.preempt.Store(false)
-		j.mu.Lock()
-		j.state = jobQueued
-		j.requeues++
-		j.mu.Unlock()
-		s.met.jobsRequeued.Add(1)
-		s.wg.Add(1)
-		go s.runSweep(j, s.admit.reserveForced())
-	default:
-		cause := context.Cause(ctx)
-		var stuck *StuckRunError
-		if errors.As(cause, &stuck) {
-			s.met.watchdogKills.Add(1)
-			// A stuck sweep is settled (journaled done), not resumed: a
-			// deterministic wedge would otherwise kill-loop every boot.
-			s.finishSweep(j, jobStuck, stuck)
-			return
-		}
-		// Drain or base shutdown: leave the journal's accept record
-		// standing so the sweep resumes on the next boot.
-		j.mu.Lock()
-		j.state = jobInterrupted
-		j.errText = "interrupted by drain; resumes on restart"
-		j.mu.Unlock()
-	}
-}
-
-func isCellError(err error) bool {
-	var ce *exp.CellError
-	return errors.As(err, &ce)
-}
-
-func isPreempted(err error) bool {
-	var pe *exp.SweepPreemptedError
-	return errors.As(err, &pe)
-}
-
-// finishSweep records a terminal state in the job and the request journal.
-func (s *Server) finishSweep(j *job, state string, err error) {
-	j.mu.Lock()
-	j.state = state
-	if err != nil {
-		j.errText = err.Error()
-	}
-	failedCount := len(j.failed)
-	j.mu.Unlock()
-	s.met.jobsDone.Add(1)
-	rec := journalRecord{Op: "done", ID: j.ID, OK: state == jobDone && failedCount == 0}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	s.appendRequest(rec)
-}
-
-// resolveSweep prepares the spec's programs and materializes its configs.
-func (s *Server) resolveSweep(spec SweepSpec) ([]*exp.Prepared, []machine.Config, error) {
-	var prepared []*exp.Prepared
-	if spec.Source != "" {
-		p, err := s.prep.prepareSource(spec.Source, spec.In0, spec.In1)
-		if err != nil {
-			return nil, nil, err
-		}
-		prepared = append(prepared, p)
-	}
-	for _, name := range spec.Benches {
-		p, err := s.prep.prepareBench(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		prepared = append(prepared, p)
-	}
-	cfgs := make([]machine.Config, len(spec.Configs))
-	for i, cs := range spec.Configs {
-		cfg, err := cs.Config()
-		if err != nil {
-			return nil, nil, err
-		}
-		cfgs[i] = cfg
-	}
-	return prepared, cfgs, nil
 }

@@ -44,7 +44,7 @@ type watchdog struct {
 }
 
 // watchItem is one registration. Callers fill id, beat and cancel, plus
-// the optional key and preemption fields; watch owns the rest.
+// the optional key; watch owns the rest.
 type watchItem struct {
 	id     string
 	beat   *atomic.Int64
@@ -57,22 +57,11 @@ type watchItem struct {
 	// registration's pending verdicts are revoked before the new one
 	// becomes visible, so the predecessor's stall timer can never kill
 	// (and requeue the cells of) its own successor. Only the registry sets
-	// a key, so a worker ID can never revoke a /run or sweep registration.
+	// a key, so a worker ID can never revoke a /run or cell registration.
 	key string
 
-	// Preemption fields (nil preempt = kill-only item). A preemptable run
-	// that is still beating but has held its slot past preemptAfter while
-	// other work is queued is asked — once — to stop at its next checkpoint
-	// boundary. Preemption is cooperative and distinct from the stall kill:
-	// a stalled run cannot reach a checkpoint, so it is still killed.
-	preempt      *atomic.Bool
-	preemptAfter time.Duration
-	queued       func() int64
-
-	last      int64
-	since     time.Time
-	started   time.Time
-	preempted bool
+	last  int64
+	since time.Time
 
 	// revoked is set when the registration is withdrawn — unwatch, or a
 	// keyed registration superseding it. A stall verdict already collected
@@ -111,10 +100,8 @@ func (w *watchdog) shutdown() {
 // engines; it.cancel is invoked with a *StuckRunError cause on a stall
 // verdict. The returned func deregisters (idempotent, safe after a kill).
 func (w *watchdog) watch(it *watchItem) (unwatch func()) {
-	now := time.Now()
 	it.last = it.beat.Load()
-	it.since = now
-	it.started = now
+	it.since = time.Now()
 	w.mu.Lock()
 	w.next++
 	num := w.next
@@ -171,12 +158,6 @@ func (w *watchdog) sweep(now time.Time) {
 			killed = append(killed, it)
 			delete(w.items, num)
 			w.dropKeyLocked(it, num)
-			continue
-		}
-		if it.preempt != nil && !it.preempted &&
-			now.Sub(it.started) >= it.preemptAfter && it.queued() > 0 {
-			it.preempted = true // one-shot: never re-preempt the same registration
-			it.preempt.Store(true)
 		}
 	}
 	w.mu.Unlock()

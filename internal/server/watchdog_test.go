@@ -83,23 +83,17 @@ func TestWatchdogUnwatchStopsTracking(t *testing.T) {
 }
 
 // TestWatchdogKeyNeverRevokesUnkeyed: a keyed registration supersedes only
-// registrations with the same key. A /run or sweep registration whose id
-// happens to equal a worker ID keeps its stall verdict, and the preemption
-// fields ride the same registration.
+// registrations with the same key. A /run or cell registration whose id
+// happens to equal a worker ID keeps its stall verdict.
 func TestWatchdogKeyNeverRevokesUnkeyed(t *testing.T) {
 	wd := newWatchdog(time.Hour, 50*time.Millisecond) // never started; swept by hand
 	var runBeat, workerBeat atomic.Int64
 	var runKilled, workerKilled atomic.Bool
-	var preempt atomic.Bool
-	wd.watch(&watchItem{id: "w-1", beat: &runBeat, cancel: func(error) { runKilled.Store(true) },
-		preempt: &preempt, queued: func() int64 { return 1 }})
+	wd.watch(&watchItem{id: "w-1", beat: &runBeat, cancel: func(error) { runKilled.Store(true) }})
 	wd.watch(&watchItem{id: "w-1", key: "w-1", beat: &workerBeat, cancel: func(error) { workerKilled.Store(true) }})
 
 	runBeat.Add(1)
 	wd.sweep(time.Now().Add(time.Minute))
-	if !preempt.Load() {
-		t.Error("beating preemptable run with queued work was not preempted")
-	}
 	if runKilled.Load() || !workerKilled.Load() {
 		t.Fatalf("after first sweep: run killed %v, worker killed %v; want false, true", runKilled.Load(), workerKilled.Load())
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"fgpsim/internal/chaos"
+	"fgpsim/internal/core"
 	"fgpsim/internal/exp"
 	"fgpsim/internal/machine"
 	"fgpsim/internal/snapshot"
@@ -22,13 +24,14 @@ import (
 )
 
 // Worker is the fabric's execution half: a pull client that registers with
-// a coordinator, polls for cell assignments, runs each through the same
-// exp.GridContext machinery a single-node sweep uses (same retries, same
-// quarantine, same checkpoint cadence — which is why the merged results
-// are byte-identical to a single-node run), ships its mid-run checkpoints
-// back so a peer can resume its cells if this process dies, and posts
-// results until they are acknowledged. It serves no HTTP itself; a worker
-// behind a NAT or a partition needs nothing but an outbound connection.
+// a coordinator, polls for cell assignments, runs each through the
+// exp.GridContext machinery (retries, quarantine, checkpoint cadence — the
+// same for every cell wherever it runs, which is why merged results are
+// byte-identical however the grid was spread), ships its mid-run
+// checkpoints back so a peer can resume its cells if this process dies,
+// and posts results until they are acknowledged. It serves no HTTP itself;
+// a worker behind a NAT or a partition needs nothing but an outbound
+// connection. A single-node Server runs one Worker in process (local.go).
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -42,7 +45,8 @@ type WorkerOptions struct {
 	// Concurrency is how many cells run in parallel (default GOMAXPROCS);
 	// it is also the poll batch size.
 	Concurrency int
-	// SnapshotDir holds local cell checkpoints (default: a temp dir).
+	// SnapshotDir holds local cell checkpoints (default: a temp dir, removed
+	// when Run returns).
 	SnapshotDir string
 	// DrainGrace bounds how long a graceful stop waits for in-flight cells
 	// to park at a checkpoint boundary before abandoning them (default 30s).
@@ -74,11 +78,27 @@ type WorkerOptions struct {
 type Worker struct {
 	opts     WorkerOptions
 	client   *http.Client
-	prep     *prepCache
 	logf     func(string, ...any)
 	snapDir  string
+	tmpDir   string // snapDir if NewWorker made it, else ""; removed when Run returns
 	auditDir string
 	disk     chaos.Disk
+
+	// Each running cell holds one lim slot, and its heartbeat is watched by
+	// wd. A remote worker owns prep, lim and wd (Run starts and stops wd),
+	// and ships every durable checkpoint to the coordinator so a peer can
+	// resume the cell if this process dies. An in-process worker (local)
+	// shares its Server's three, so /run and sweep cells draw on one
+	// -concurrency budget and one watchdog, and ships nothing: its snapshot
+	// dir is on the coordinator's own disk, where the next boot's worker
+	// resumes from it. base parents every cell and result delivery: the
+	// Server's base context in process (cancelled when a drain runs out of
+	// time), context.Background() otherwise.
+	prep  *prepCache
+	lim   *limiter
+	wd    *watchdog
+	local bool
+	base  context.Context
 
 	lease   atomic.Uint64
 	preempt atomic.Bool
@@ -89,9 +109,6 @@ type Worker struct {
 	parkedMu       sync.Mutex
 	parked         map[string][]byte
 	reshipInFlight atomic.Bool
-
-	// CellsRun counts settled cells, for tests and logs.
-	CellsRun atomic.Int64
 }
 
 // NewWorker validates options and builds a worker.
@@ -118,8 +135,11 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		opts:   opts,
 		client: opts.Client,
-		prep:   newPrepCache(),
 		logf:   opts.Logf,
+		prep:   newPrepCache(),
+		lim:    newLimiter(opts.Concurrency),
+		wd:     newWatchdog(0, 0),
+		base:   context.Background(),
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 10 * time.Second}
@@ -137,7 +157,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.snapDir = dir
+		w.snapDir, w.tmpDir = dir, dir
 	} else if err := os.MkdirAll(w.snapDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -158,7 +178,17 @@ func (w *Worker) ID() string { return w.opts.ID }
 // (ctx canceled: stop polling, ask in-flight cells to park and ship their
 // snapshots, post what settled, deregister) and only returns an error when
 // it could never join the fabric at all.
+//
+// The loop polls only while a cell slot is free, and polls again as soon
+// as a cell's result is acknowledged; an empty poll is held by the
+// coordinator until work appears, so the loop never sleeps on a timer
+// while there is work to do.
 func (w *Worker) Run(ctx context.Context) error {
+	defer os.RemoveAll(w.tmpDir)
+	if !w.local {
+		w.wd.start()
+		defer w.wd.shutdown()
+	}
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -170,19 +200,24 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	// Cells run under their own context so a drain can ask them to park
 	// (cooperative preempt) instead of tearing them down mid-simulation.
-	cellCtx, cancelCells := context.WithCancel(context.Background())
+	cellCtx, cancelCells := context.WithCancel(w.base)
 	defer cancelCells()
 	var cellWG sync.WaitGroup
+	// finished carries one token per settled cell to wake a loop that is
+	// waiting for a free slot; a stale token costs one extra loop turn.
+	finished := make(chan struct{}, 1)
 
 poll:
 	for ctx.Err() == nil {
 		w.reshipParkedAsync()
 		free := w.opts.Concurrency - int(w.busy.Load())
 		if free <= 0 {
-			if !sleepCtx(ctx, 20*time.Millisecond) {
+			select {
+			case <-finished:
+				continue
+			case <-ctx.Done():
 				break poll
 			}
-			continue
 		}
 		var resp pollResponse
 		err := w.doJSON(ctx, "POST", "/fabric/poll",
@@ -198,11 +233,9 @@ poll:
 			continue
 		}
 		if len(resp.Cells) == 0 {
-			wait := time.Duration(resp.WaitMS) * time.Millisecond
-			if wait <= 0 {
-				wait = 200 * time.Millisecond
-			}
-			if !sleepCtx(ctx, wait) {
+			// The coordinator held the poll and found nothing; poll again at
+			// once unless it asked for a backoff.
+			if resp.WaitMS > 0 && !sleepCtx(ctx, time.Duration(resp.WaitMS)*time.Millisecond) {
 				break poll
 			}
 			continue
@@ -212,8 +245,12 @@ poll:
 			cellWG.Add(1)
 			go func(pr pollResponse, a cellAssignment) {
 				defer cellWG.Done()
-				defer w.busy.Add(-1)
 				w.runCell(cellCtx, pr, a)
+				w.busy.Add(-1)
+				select {
+				case finished <- struct{}{}:
+				default:
+				}
 			}(resp, cell)
 		}
 	}
@@ -224,12 +261,16 @@ poll:
 	}
 	// Graceful drain: ask armed cells to park at their next checkpoint
 	// boundary (shipping the parked snapshot), bound the wait, then go.
+	// Cells also end early if base is cancelled (an in-process worker's
+	// Server ran out of drain time).
 	w.preempt.Store(true)
 	done := make(chan struct{})
 	go func() { cellWG.Wait(); close(done) }()
+	grace := time.NewTimer(w.opts.DrainGrace)
+	defer grace.Stop()
 	select {
 	case <-done:
-	case <-time.After(w.opts.DrainGrace):
+	case <-grace.C:
 		w.logf("worker %s: drain grace expired; abandoning in-flight cells", w.opts.ID)
 		cancelCells()
 		<-done
@@ -269,15 +310,50 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// runCell executes one assignment through the sweep machinery: a 1x1 grid
-// with the coordinator's retry, timeout, and checkpoint parameters, the
-// worker's shared snapshot dir and preempt flag, and a snapshot sink that
-// ships every durable checkpoint to the coordinator.
+// runCell executes one assignment holding one limiter slot, releases the
+// slot, and posts the verdict: the stats, or the error of a cell that
+// failed its retries, could not be prepared, or wedged. A cell parked by a
+// drain or torn down with its context posts nothing; the coordinator
+// requeues it.
 func (w *Worker) runCell(ctx context.Context, pr pollResponse, a cellAssignment) {
-	fail := func(err error) {
-		w.postResult(resultRequest{Worker: w.opts.ID, Lease: w.lease.Load(),
-			SweepID: pr.SweepID, Cell: a.Cell, Attempt: a.Attempt, Err: err.Error(), Audit: a.Audit})
+	if w.lim.acquire(ctx) != nil {
+		return // torn down while waiting for a slot
 	}
+	out, err := w.simulate(ctx, pr, a)
+	w.lim.release()
+	res := resultRequest{Worker: w.opts.ID, SweepID: pr.SweepID, Cell: a.Cell, Attempt: a.Attempt,
+		Audit: a.Audit, Attempts: out.Attempts, ElapsedUS: out.Duration.Microseconds()}
+	switch {
+	case err != nil:
+		res.Err = err.Error()
+	case out.Preempted:
+		// Parked and shipped; the coordinator requeues it when we
+		// deregister (or are declared dead).
+		return
+	case out.Stats != nil:
+		res.Stats = out.Stats
+		if w.opts.Mangle != nil {
+			res.Stats = w.opts.Mangle(a.Cell, res.Stats)
+		}
+		if !w.opts.OmitDigests {
+			res.Digest = exp.DigestStats(res.Stats)
+		}
+	case out.Err != nil:
+		res.Err = out.Err.Error()
+	default:
+		return
+	}
+	w.postResult(res)
+}
+
+// simulate runs one assignment through the sweep machinery: a 1x1 grid
+// with the coordinator's retry, timeout, and checkpoint parameters, the
+// worker's shared snapshot dir and preempt flag, a snapshot sink that
+// ships every durable checkpoint to the coordinator, and a heartbeat
+// watched by the watchdog. A wedged engine is cancelled with a
+// *StuckRunError, which is returned as the cell's failure.
+func (w *Worker) simulate(ctx context.Context, pr pollResponse, a cellAssignment) (exp.CellOutcome, error) {
+	var out exp.CellOutcome
 	var p *exp.Prepared
 	var name string
 	var err error
@@ -289,13 +365,11 @@ func (w *Worker) runCell(ctx context.Context, pr pollResponse, a cellAssignment)
 		p, err = w.prep.prepareSource(pr.Source, pr.In0, pr.In1)
 	}
 	if err != nil {
-		fail(err)
-		return
+		return out, err
 	}
 	cfg, err := a.Config.Config()
 	if err != nil {
-		fail(err)
-		return
+		return out, err
 	}
 	key := exp.KeyOf(name, cfg)
 	if len(a.Snapshot) > 0 && !a.Audit {
@@ -310,12 +384,17 @@ func (w *Worker) runCell(ctx context.Context, pr pollResponse, a cellAssignment)
 	if pr.Timeout != "" {
 		timeout, _ = time.ParseDuration(pr.Timeout)
 	}
-	var out exp.CellOutcome
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var beat atomic.Int64
+	unwatch := w.wd.watch(&watchItem{id: keyString(key), beat: &beat, cancel: cancel})
+	defer unwatch()
 	opts := exp.GridOptions{
 		Workers:    1,
 		Retries:    pr.Retries,
 		RunTimeout: timeout,
 		Disk:       w.opts.Disk,
+		Limits:     core.Limits{Heartbeat: &beat},
 		Observer:   func(o exp.CellOutcome) { out = o },
 	}
 	if pr.CheckpointEvery > 0 {
@@ -328,35 +407,19 @@ func (w *Worker) runCell(ctx context.Context, pr pollResponse, a cellAssignment)
 		opts.Preempt = &w.preempt
 		if a.Audit {
 			opts.SnapshotDir = w.auditDir
-		} else {
+		} else if !w.local {
 			opts.SnapshotSink = func(_ exp.Key, encoded []byte) { w.ship(a.Cell, encoded) }
 		}
 	}
 	_, err = exp.GridContext(ctx, []*exp.Prepared{p}, []machine.Config{cfg}, opts)
-	switch {
-	case out.Preempted:
-		// Parked and shipped; the coordinator requeues it when we
-		// deregister (or are declared dead).
-	case out.Stats != nil:
-		w.CellsRun.Add(1)
-		st := out.Stats
-		if w.opts.Mangle != nil {
-			st = w.opts.Mangle(a.Cell, st)
-		}
-		res := resultRequest{Worker: w.opts.ID, Lease: w.lease.Load(),
-			SweepID: pr.SweepID, Cell: a.Cell, Attempt: a.Attempt, Stats: st, Audit: a.Audit}
-		if !w.opts.OmitDigests {
-			res.Digest = exp.DigestStats(st)
-		}
-		w.postResult(res)
-	case out.Err != nil:
-		w.CellsRun.Add(1)
-		fail(out.Err)
-	default:
-		if err != nil && ctx.Err() == nil {
-			w.logf("worker %s: cell %s: %v", w.opts.ID, a.Cell, err)
-		}
+	var stuck *StuckRunError
+	if out.Stats == nil && out.Err == nil && errors.As(context.Cause(ctx), &stuck) {
+		return out, stuck
 	}
+	if err != nil && out.Stats == nil && out.Err == nil && !out.Preempted && ctx.Err() == nil {
+		w.logf("worker %s: cell %s: %v", w.opts.ID, a.Cell, err)
+	}
+	return out, nil
 }
 
 // ShipError is the typed terminal failure of a snapshot ship: the bounded
@@ -485,8 +548,9 @@ func (w *Worker) reshipParkedAsync() {
 // postResult delivers one settled cell, retrying with backoff until the
 // coordinator acknowledges it (200), rejects it (404 — the sweep finished
 // or the coordinator restarted past it; 400 — the digest gate refused it),
-// or a bounded retry budget runs out. Delivery runs on the background
-// context: results must still flow during a graceful drain.
+// or a bounded retry budget runs out. Delivery runs on the worker's base
+// context, not the poll loop's: results must still flow during a graceful
+// drain, and stop only when an in-process worker's Server force-cancels.
 //
 // The request is marshaled exactly once and the same bytes are resent on
 // every retry: the embedded digest stays valid across attempts, and a
@@ -502,7 +566,7 @@ func (w *Worker) postResult(res resultRequest) {
 	}
 	backoff := 100 * time.Millisecond
 	for tries := 0; tries < 30; tries++ {
-		status, err := w.postRaw(context.Background(), "/fabric/result", body)
+		status, err := w.postRaw(w.base, "/fabric/result", body)
 		if err == nil && status == http.StatusOK {
 			return
 		}
@@ -510,7 +574,9 @@ func (w *Worker) postResult(res resultRequest) {
 			w.logf("worker %s: result %s dropped: %v", w.opts.ID, res.Cell, err)
 			return
 		}
-		time.Sleep(backoff)
+		if !sleepCtx(w.base, backoff) {
+			return
+		}
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}
