@@ -89,7 +89,7 @@ func (l Limits) checkpointArmed() bool {
 // captureState snapshots the dynamic engine. Callers guarantee quiescence:
 // the active window is empty and issue is not stalled.
 func (e *dynamicEngine) captureState() *EngineState {
-	e.foldBlockSizes()
+	e.blockSizes.fold(e.st)
 	st := &EngineState{
 		Cycle:     e.cycle,
 		Mem:       e.env.mem.Bytes(),
@@ -235,6 +235,7 @@ func validSnapBlock(p *ir.Program, id ir.BlockID) bool {
 // captureStatic snapshots the static engine at a block boundary: next is
 // the block about to execute and nextCycle its first issue cycle.
 func (e *staticEngine) captureStatic(next ir.BlockID, nextCycle int64) *EngineState {
+	e.blockSizes.fold(e.st)
 	st := &EngineState{
 		Static:    true,
 		Cycle:     nextCycle,

@@ -129,6 +129,28 @@ func RunContext(ctx context.Context, img *loader.Image, in0, in1 []byte, trace [
 // checks; a power of two so the test is a mask.
 const ctxCheckPeriod = 4096
 
+// blockSizeHist histograms an engine's retired block sizes by node count.
+// The engine folds it into stats.Run.BlockSizes (a map) at run end and
+// before a snapshot, keeping the map update off the retire path.
+type blockSizeHist []int64
+
+func (h *blockSizeHist) add(size int) {
+	for size >= len(*h) {
+		*h = append(*h, 0)
+	}
+	(*h)[size]++
+}
+
+// fold moves the counts into the run statistics.
+func (h blockSizeHist) fold(st *stats.Run) {
+	for size, n := range h {
+		if n != 0 {
+			st.BlockSizes[size] += n
+			h[size] = 0
+		}
+	}
+}
+
 // env is the architectural state shared by both engines: memory, the input
 // streams, and collected output. Its memory is an ir.Memory, the type the
 // functional interpreter uses, address clamp included, so that runs are

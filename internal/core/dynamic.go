@@ -78,10 +78,7 @@ type dynamicEngine struct {
 	// liveNodes counts issued, unretired nodes (window occupancy stats).
 	liveNodes int64
 
-	// blockSizes histograms retired block sizes by node count. It is folded
-	// into st.BlockSizes (a map) at run end and before a snapshot, keeping
-	// the map update off the retire path.
-	blockSizes []int64
+	blockSizes blockSizeHist
 
 	// Memory disambiguation state. unknownQ holds issued stores in seq
 	// order; executed entries leave lazily from the front, squashed ones
@@ -292,7 +289,7 @@ func (e *dynamicEngine) run() (*RunResult, error) {
 		e.cycle++
 	}
 	e.st.Cycles = e.cycle
-	e.foldBlockSizes()
+	e.blockSizes.fold(e.st)
 	if e.ms.Cache != nil {
 		e.st.CacheHits = e.ms.Cache.Hits
 		e.st.CacheMisses = e.ms.Cache.Misses
@@ -394,10 +391,7 @@ func (e *dynamicEngine) retire() {
 		e.st.RetiredNodes += int64(size)
 		e.liveNodes -= int64(size)
 		e.st.RetiredBlocks++
-		for size >= len(e.blockSizes) {
-			e.blockSizes = append(e.blockSizes, 0)
-		}
-		e.blockSizes[size]++
+		e.blockSizes.add(size)
 		term := e.blocks.term[ab]
 		flags := e.blocks.flags[ab]
 		if term != nilRef && flags&abTermIsBranch != 0 {
@@ -438,17 +432,6 @@ func (e *dynamicEngine) retire() {
 func (e *dynamicEngine) freeBlock(ab bref, cycleWM int64) {
 	e.nodes.putRange(e.blocks.base[ab], len(e.blocks.tmpl[ab].nodes), e.seq, cycleWM)
 	e.blocks.put(ab)
-}
-
-// foldBlockSizes moves the engine-local block-size histogram into the run
-// statistics.
-func (e *dynamicEngine) foldBlockSizes() {
-	for size, n := range e.blockSizes {
-		if n != 0 {
-			e.st.BlockSizes[size] += n
-			e.blockSizes[size] = 0
-		}
-	}
 }
 
 func (e *dynamicEngine) hasPendingFault(ab bref) bool {

@@ -30,6 +30,8 @@ type staticEngine struct {
 	regReadyAt [ir.NumRegs]int64
 	retStack   []ir.BlockID
 
+	blockSizes blockSizeHist
+
 	// Transaction state for enlarged blocks.
 	regSnap       [ir.NumRegs]int32
 	readySnap     [ir.NumRegs]int64
@@ -81,6 +83,7 @@ func (e *staticEngine) run() (*RunResult, error) {
 		}
 		if halted {
 			e.st.Cycles = nextCycle
+			e.blockSizes.fold(e.st)
 			break
 		}
 		if nextCycle > maxCycles {
@@ -146,23 +149,17 @@ func (e *staticEngine) storeTx(a int32, size int64, v int32) {
 // block and its first issue cycle.
 func (e *staticEngine) execBlock(id ir.BlockID, t0 int64) (next ir.BlockID, nextCycle int64, halted bool, err error) {
 	b := e.img.Prog.Block(id)
-	words := e.img.Words[id]
+	words, _ := e.img.Words(id)
 
-	hasAssert := false
-	for i := range b.Body {
-		if b.Body[i].Op == ir.Assert {
-			hasAssert = true
-			break
-		}
-	}
-	e.transactional = hasAssert
-	if hasAssert {
+	e.transactional = words.HasAssert()
+	if e.transactional {
 		e.beginTx()
 	}
 
 	issue := t0 - 1
 	executed := int64(0)
-	for _, w := range words {
+	for i := 0; i < words.Len(); i++ {
+		w := words.Word(i)
 		// Interlock: the word issues when all its operands are ready.
 		ready := issue + 1
 		for _, idx := range w {
@@ -235,8 +232,8 @@ func (e *staticEngine) execBlock(id ir.BlockID, t0 int64) (next ir.BlockID, next
 	return 0, 0, false, &ImageError{Block: int(id), Reason: "static schedule missing terminator"}
 }
 
-func (e *staticEngine) nodeAt(b *ir.Block, idx int) *ir.Node {
-	if idx == len(b.Body) {
+func (e *staticEngine) nodeAt(b *ir.Block, idx int32) *ir.Node {
+	if int(idx) == len(b.Body) {
 		return &b.Term
 	}
 	return &b.Body[idx]
@@ -256,7 +253,8 @@ func (e *staticEngine) setReg(r ir.Reg, v int32, readyAt int64) {
 func (e *staticEngine) terminate(b *ir.Block, n *ir.Node, issue int64, executed int64) (ir.BlockID, int64, bool, error) {
 	size := len(b.Body) + 1
 	e.st.RetiredNodes += executed
-	e.st.RecordBlock(size)
+	e.st.RetiredBlocks++
+	e.blockSizes.add(size)
 	nextCycle := issue + 1
 
 	switch n.Op {

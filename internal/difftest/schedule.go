@@ -59,11 +59,12 @@ func (c *Case) ScheduleOracle(vs []Variant, o exact.Options) (*Report, error) {
 			if b == nil {
 				continue
 			}
-			list, ok := img.Words[b.ID]
+			words, ok := img.Words(b.ID)
 			if !ok {
 				rep.add(v, "schedule", "block b%d has no schedule", b.ID)
 				continue
 			}
+			list := words.Schedule()
 			if err := sched.Validate(b, v.Cfg.Issue, hitLat, list); err != nil {
 				rep.add(v, "schedule", "block b%d: list schedule illegal: %v", b.ID, err)
 				continue

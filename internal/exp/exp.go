@@ -97,7 +97,7 @@ func (p *Prepared) RunContext(ctx context.Context, cfg machine.Config, lim core.
 // of degradations taken is returned alongside). It is exported so callers
 // that need the image before running — to fingerprint it for a snapshot
 // resume, say — resolve it exactly once and exactly the way RunContext
-// would.
+// would. The image is shared and read-only.
 func (p *Prepared) ResolveImage(cfg machine.Config) (*loader.Image, int64, error) {
 	img, err := p.image(cfg)
 	if err == nil {
@@ -107,15 +107,14 @@ func (p *Prepared) ResolveImage(cfg machine.Config) (*loader.Image, int64, error
 	if !errors.As(err, &be) {
 		return nil, 0, fmt.Errorf("exp: %s %s: %w", p.Bench.Name, cfg, err)
 	}
+	// Degrade to the single-block translation: EnlargedBB becomes SingleBB,
+	// and Perfect keeps its oracle predictor and drops only the
+	// enlargement.
+	fallback := cfg
 	if cfg.Branch == machine.EnlargedBB {
-		fallback := cfg
 		fallback.Branch = machine.SingleBB
-		img, err = p.image(fallback)
-	} else {
-		// Perfect mode needs an enlargement file argument; an empty one
-		// keeps the oracle predictor and drops only the enlargement.
-		img, err = loader.Load(p.Prog, cfg, &enlarge.File{})
 	}
+	img, err = p.imgs.load(p.Prog, p.EF, fallback, false)
 	if err != nil {
 		return nil, 0, fmt.Errorf("exp: %s %s (degraded): %w", p.Bench.Name, cfg, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fgpsim/internal/bench"
 	"fgpsim/internal/exp"
 	"fgpsim/internal/machine"
 )
@@ -62,4 +63,82 @@ func TestCheckedInFig7Fresh(t *testing.T) {
 		t.Fatalf("results/fig7.txt window-1/256 rows are stale — regenerate with: go run ./cmd/figures -fig 7 -bench grep,compress -workers 1 -quiet > results/fig7.txt\ngot:\n%s\nwant:\n%s",
 			strings.Join(g, "\n"), strings.Join(w, "\n"))
 	}
+}
+
+// TestCheckedInFiguresAllStaticFresh: the static/single and static/enlarged
+// columns of Figures 3 and 4 in the committed results/figures_all.txt must
+// be regenerable from the current tree:
+//
+//	go run ./cmd/figures -workers 1 -quiet > results/figures_all.txt
+//
+// They are the columns the translating loader's static schedules decide.
+// The 28 static figure configurations on all five benchmarks take about
+// two seconds; under -short only the 16 at memory config A are simulated,
+// and Figure 4 is compared on its A row alone.
+func TestCheckedInFiguresAllStaticFresh(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "figures_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prepared []*exp.Prepared
+	for _, b := range bench.All() {
+		prepared = append(prepared, prepareOne(t, b.Name))
+	}
+	var cfgs []machine.Config
+	for _, cfg := range exp.FigureConfigs() {
+		if cfg.Disc == machine.Static && (!testing.Short() || cfg.Mem.ID == 'A') {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	res, err := exp.Grid(prepared, cfgs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := exp.BenchNames(prepared)
+	compared := 0
+	for _, fig := range []string{exp.Figure3(res, names), exp.Figure4(res, names)} {
+		title := fig[:strings.IndexByte(fig, ':')+1]
+		got, checked := staticColumns(t, fig, title), staticColumns(t, string(want), title)
+		for row, g := range got {
+			if g[0] == "-" {
+				continue // not simulated under -short
+			}
+			compared++
+			if w := checked[row]; g != w {
+				t.Errorf("results/figures_all.txt %s row %s: static/single, static/enlarged = %s, fresh %s — regenerate with: go run ./cmd/figures -workers 1 -quiet > results/figures_all.txt",
+					title, row, w, g)
+			}
+		}
+	}
+	rows := 15 // 8 issue models of Figure 3, 7 memory configs of Figure 4
+	if testing.Short() {
+		rows = 9
+	}
+	if compared != rows {
+		t.Errorf("compared %d rows, want %d", compared, rows)
+	}
+}
+
+// staticColumns returns, by row label, the static/single and
+// static/enlarged cells (the first and fifth curves) of the figure table
+// that starts with title in text.
+func staticColumns(t *testing.T, text, title string) map[string][2]string {
+	t.Helper()
+	i := strings.Index(text, title)
+	if i < 0 {
+		t.Fatalf("no %s table", title)
+	}
+	lines := strings.Split(text[i:], "\n")
+	out := make(map[string][2]string)
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			break
+		}
+		if len(f) != 11 {
+			t.Fatalf("%s row %q has %d fields, want 11", title, line, len(f))
+		}
+		out[f[0]] = [2]string{f[1], f[5]}
+	}
+	return out
 }

@@ -13,6 +13,7 @@ import (
 	"fgpsim/internal/enlarge"
 	"fgpsim/internal/exp"
 	"fgpsim/internal/ir"
+	"fgpsim/internal/loader"
 	"fgpsim/internal/machine"
 )
 
@@ -173,26 +174,50 @@ func TestGridJournalResume(t *testing.T) {
 // TestRunContextDegradesCorruptEnlargement: a structurally corrupt
 // enlargement file must not fail the run — the enlarged configuration
 // degrades to its single-block equivalent, the output still verifies, and
-// the degradation is counted.
+// the degradation is counted. The failed translation is remembered, so
+// every later enlarged or perfect cell on the Prepared degrades without
+// materializing the file again.
 func TestRunContextDegradesCorruptEnlargement(t *testing.T) {
 	p := prepareOne(t, "compress")
 	p.EF = &enlarge.File{Chains: []enlarge.Chain{{
 		Entry: ir.BlockID(1 << 30),
 		Steps: []enlarge.Step{{Block: ir.BlockID(1 << 30)}, {Block: ir.BlockID(1<<30 + 1)}},
 	}}}
+	im4, _ := machine.IssueModelByID(4)
 	im8, _ := machine.IssueModelByID(8)
 	mcA, _ := machine.MemConfigByID('A')
-	for _, bm := range []machine.BranchMode{machine.EnlargedBB, machine.Perfect} {
-		cfg := machine.Config{Disc: machine.Dyn4, Issue: im8, Mem: mcA, Branch: bm}
+	cfgs := []machine.Config{
+		{Disc: machine.Dyn4, Issue: im8, Mem: mcA, Branch: machine.EnlargedBB},
+		{Disc: machine.Dyn4, Issue: im8, Mem: mcA, Branch: machine.Perfect},
+		{Disc: machine.Static, Issue: im8, Mem: mcA, Branch: machine.EnlargedBB},
+		{Disc: machine.Static, Issue: im4, Mem: mcA, Branch: machine.EnlargedBB},
+		{Disc: machine.Dyn1, Issue: im4, Mem: mcA, Branch: machine.EnlargedBB},
+		{Disc: machine.Dyn1, Issue: im4, Mem: mcA, Branch: machine.Perfect},
+	}
+	var failed error
+	for _, cfg := range cfgs {
 		s, err := p.RunContext(context.Background(), cfg, core.Limits{})
 		if err != nil {
-			t.Fatalf("%s: corrupt enlargement failed the run instead of degrading: %v", bm, err)
+			t.Fatalf("%s: corrupt enlargement failed the run instead of degrading: %v", cfg, err)
 		}
 		if s.EFDegradations != 1 {
-			t.Errorf("%s: EFDegradations = %d, want 1", bm, s.EFDegradations)
+			t.Errorf("%s: EFDegradations = %d, want 1", cfg, s.EFDegradations)
 		}
 		if s.RetiredNodes == 0 {
-			t.Errorf("%s: degraded run retired nothing", bm)
+			t.Errorf("%s: degraded run retired nothing", cfg)
+		}
+		single, enlarged := exp.TranslationErrs(p)
+		if single != nil {
+			t.Fatalf("%s: single-block translation failed: %v", cfg, single)
+		}
+		var be *loader.BadEnlargementError
+		if !errors.As(enlarged, &be) {
+			t.Fatalf("%s: cached enlarged translation error = %v, want *loader.BadEnlargementError", cfg, enlarged)
+		}
+		if failed == nil {
+			failed = enlarged
+		} else if enlarged != failed {
+			t.Errorf("%s: the enlargement file was materialized again", cfg)
 		}
 	}
 }

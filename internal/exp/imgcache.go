@@ -9,103 +9,119 @@ import (
 	"fgpsim/internal/machine"
 )
 
-// The translating loader deep-copies the program per Load, and for
-// enlarged-block modes re-runs materialization — work that is identical for
-// every sweep point sharing the codegen-relevant part of the configuration.
-// A Prepared therefore memoizes loader.Load results keyed by exactly the
-// Config fields the loader reads:
+// The translating loader's two steps depend on different parts of a
+// configuration (loader.Load):
 //
-//   - whether blocks are enlarged (Branch is EnlargedBB or Perfect — both
-//     materialize the enlargement file; SingleBB and FillUnit load the
-//     program as-is),
-//   - for statically scheduled machines, the issue model and the cache hit
-//     latency (they shape the precomputed multinodewords).
+//   - translation depends only on whether blocks are enlarged: SingleBB
+//     runs the program as compiled, while EnlargedBB and Perfect both
+//     materialize the enlargement file;
+//   - static scheduling, for statically scheduled machines only, depends
+//     also on the issue model, the cache hit latency and the scheduler
+//     kind, which shape the multinodewords.
 //
-// Everything else (window, predictor, BTB size, miss latency, conservative
-// memory, ...) affects only the engine, so e.g. all window depths of one
-// discipline/block-mode sweep share a single image. Cached images are
-// immutable after Load; each hit returns a shallow copy carrying the
-// caller's full Config, since the engines read engine-level fields from
-// img.Cfg. FillUnit runs bypass the cache entirely: the fill unit enlarges
-// its image at run time (AddChain mutates the program), so every run needs
-// a private copy.
+// A Prepared therefore memoizes at most one translation per block mode and
+// one packed schedule per static codegen key, and each run gets a shallow
+// image binding them to its full Config (loader.Image.Bind), since the
+// engines read engine-level fields from img.Cfg. Everything else (window,
+// predictor, BTB size, miss latency, conservative memory, ...) affects
+// only the engine, so all configurations of one block mode share one
+// program: the SingleBB translation is p.Prog itself. Images are
+// read-only. A failed translation is memoized too, so a corrupt
+// enlargement file costs one failed materialization per Prepared, not one
+// per cell. FillUnit runs bypass the cache entirely: the fill unit
+// enlarges its image at run time (AddChain mutates the program), so every
+// run needs a private copy.
 type imageCache struct {
-	mu   sync.Mutex
-	m    map[imgKey]*imageCacheEnt
-	tick int64
+	mu       sync.Mutex
+	single   translation
+	enlarged translation
+	scheds   map[schedKey]*schedEnt
+	tick     int64
 }
 
-// imgKey is the codegen-relevant subset of machine.Config.
-type imgKey struct {
+// translation is one block mode's loader.Translate result, once made.
+type translation struct {
+	img *loader.Image
+	err error
+}
+
+// schedKey is the codegen-relevant subset of a statically scheduled
+// machine's Config, plus the block mode of the translation it packs.
+type schedKey struct {
 	enlarged bool
-	static   bool
-	issue    machine.IssueModel // statically scheduled machines only
-	hitLat   int                // statically scheduled machines only
-	sched    machine.SchedKind  // statically scheduled machines only
+	issue    machine.IssueModel
+	hitLat   int
+	sched    machine.SchedKind
 }
 
-type imageCacheEnt struct {
-	img  *loader.Image
+type schedEnt struct {
+	s    *loader.Schedule
 	used int64 // cache tick of last use, for LRU eviction
 }
 
-// imageCacheCap bounds the cache (an image holds a full program clone).
-// The figure sweeps need well under this many distinct images per
-// benchmark: 2 block modes x (1 dynamic + 8 issue models x 2 hit
-// latencies, static).
-const imageCacheCap = 64
+// scheduleCacheCap bounds the schedules a cache keeps. The figure sweeps
+// need 20 per benchmark: 2 block modes x 10 pairs of issue model and hit
+// latency.
+const scheduleCacheCap = 64
 
-func imgKeyOf(cfg machine.Config) imgKey {
-	k := imgKey{enlarged: cfg.Branch == machine.EnlargedBB || cfg.Branch == machine.Perfect}
-	if cfg.Disc == machine.Static {
-		k.static = true
-		k.issue = cfg.Issue
-		k.hitLat = cfg.Mem.HitLatency
-		k.sched = cfg.Sched
-	}
-	return k
+// enlargedMode reports whether a block mode runs the enlarged translation.
+func enlargedMode(b machine.BranchMode) bool {
+	return b == machine.EnlargedBB || b == machine.Perfect
 }
 
-// load returns a cached image for cfg's codegen key, loading it on a miss.
-// The mutex covers the whole load, so concurrent sweep workers asking for
-// the same key do the translation work once.
-func (c *imageCache) load(prog *ir.Program, cfg machine.Config, ef *enlarge.File) (*loader.Image, error) {
+func schedKeyOf(cfg machine.Config, enlarged bool) schedKey {
+	return schedKey{enlarged: enlarged, issue: cfg.Issue, hitLat: cfg.Mem.HitLatency, sched: cfg.Sched}
+}
+
+// load returns the image of cfg on the single-block or the enlarged
+// translation, translating and packing on a miss. The mutex covers the
+// whole load, so concurrent sweep workers asking for the same translation
+// or schedule do the work once.
+func (c *imageCache) load(prog *ir.Program, ef *enlarge.File, cfg machine.Config, enlarged bool) (*loader.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := imgKeyOf(cfg)
-	ent := c.m[k]
-	if ent == nil {
-		img, err := loader.Load(prog, cfg, ef)
-		if err != nil {
-			return nil, err
-		}
-		if c.m == nil {
-			c.m = make(map[imgKey]*imageCacheEnt)
-		}
-		c.evictFor(1)
-		ent = &imageCacheEnt{img: img}
-		c.m[k] = ent
+	tr, mode := &c.single, machine.SingleBB
+	if enlarged {
+		tr, mode = &c.enlarged, machine.EnlargedBB
 	}
-	c.tick++
-	ent.used = c.tick
-	im := *ent.img
-	im.Cfg = cfg
-	return &im, nil
+	if tr.img == nil && tr.err == nil {
+		tr.img, tr.err = loader.Translate(prog, mode, ef)
+	}
+	if tr.err != nil {
+		return nil, tr.err
+	}
+	var s *loader.Schedule
+	if cfg.Disc == machine.Static {
+		k := schedKeyOf(cfg, enlarged)
+		ent := c.scheds[k]
+		if ent == nil {
+			if c.scheds == nil {
+				c.scheds = make(map[schedKey]*schedEnt)
+			}
+			c.evictLRU()
+			ent = &schedEnt{s: loader.Pack(tr.img.Prog, cfg)}
+			c.scheds[k] = ent
+		}
+		c.tick++
+		ent.used = c.tick
+		s = ent.s
+	}
+	return tr.img.Bind(cfg, s)
 }
 
-// evictFor makes room for n new entries by dropping the least recently
+// evictLRU makes room for one new schedule by dropping the least recently
 // used ones.
-func (c *imageCache) evictFor(n int) {
-	for len(c.m)+n > imageCacheCap {
-		var victim imgKey
+func (c *imageCache) evictLRU() {
+	for len(c.scheds) >= scheduleCacheCap {
+		var victim schedKey
 		oldest := int64(1<<63 - 1)
-		for k, ent := range c.m {
+		for k, ent := range c.scheds {
 			if ent.used < oldest {
 				oldest = ent.used
 				victim = k
 			}
 		}
-		delete(c.m, victim)
+		delete(c.scheds, victim)
 	}
 }
 
@@ -115,5 +131,5 @@ func (p *Prepared) image(cfg machine.Config) (*loader.Image, error) {
 	if cfg.Branch == machine.FillUnit {
 		return loader.Load(p.Prog, cfg, p.EF)
 	}
-	return p.imgs.load(p.Prog, cfg, p.EF)
+	return p.imgs.load(p.Prog, p.EF, cfg, enlargedMode(cfg.Branch))
 }

@@ -19,19 +19,24 @@ import (
 // to them, not the whole plan.
 
 // ShardKey hashes a cell's image-cache identity: the benchmark name plus
-// the Config fields the translating loader actually reads (imgKeyOf). All
-// cells sharing a translated image share a shard key, and therefore a ring
-// owner.
+// the Config fields the translating loader actually reads (the block mode,
+// and schedKeyOf for a statically scheduled machine). All cells sharing a
+// translation and schedule share a shard key, and therefore a ring owner.
 func ShardKey(benchName string, cfg machine.Config) uint64 {
-	k := imgKeyOf(cfg)
+	enlarged := enlargedMode(cfg.Branch)
+	static := cfg.Disc == machine.Static
+	var k schedKey
+	if static {
+		k = schedKeyOf(cfg, enlarged)
+	}
 	h := specFNV(0xcbf29ce484222325)
 	h.str(benchName)
-	if k.enlarged {
+	if enlarged {
 		h.byte(1)
 	} else {
 		h.byte(0)
 	}
-	if k.static {
+	if static {
 		h.byte(1)
 	} else {
 		h.byte(0)

@@ -92,13 +92,14 @@ func TestStaticEnlargedBlocksAreScheduled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enl := range img.EntryMap {
-		if _, ok := img.Words[enl]; !ok {
+		ws, ok := img.Words(enl)
+		if !ok {
 			t.Errorf("materialized block %d has no schedule", enl)
 		}
 		b := img.Prog.Block(enl)
 		n := 0
-		for _, w := range img.Words[enl] {
-			n += len(w)
+		for i := 0; i < ws.Len(); i++ {
+			n += len(ws.Word(i))
 		}
 		if n != len(b.Body)+1 {
 			t.Errorf("block %d schedule covers %d of %d nodes", enl, n, len(b.Body)+1)

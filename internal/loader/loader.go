@@ -1,11 +1,14 @@
 // Package loader is the translating loader (the paper's tld): it takes a
 // node-IR program plus a machine configuration and produces the executable
-// image the run-time simulator executes. For enlarged-block configurations
-// it materializes the chains planned by the enlargement file — internal
-// conditional branches become assert/fault nodes, fault-recovery prefix
-// blocks are generated, and every enlarged block is re-optimized as a unit.
-// For statically scheduled machines it additionally packs every block into
-// multinodewords with the list scheduler.
+// image the run-time simulator executes, in two steps. Translation
+// (Translate) depends only on the block mode: for enlarged-block
+// configurations it materializes the chains planned by the enlargement
+// file — internal conditional branches become assert/fault nodes,
+// fault-recovery prefix blocks are generated, and every enlarged block is
+// re-optimized as a unit. Static scheduling (Pack) depends on the machine:
+// for statically scheduled machines it packs every block of a translation
+// into multinodewords. Load composes the two; callers that simulate many
+// machines on one program share translations and schedules instead.
 package loader
 
 import (
@@ -16,8 +19,6 @@ import (
 	"fgpsim/internal/ir"
 	"fgpsim/internal/machine"
 	"fgpsim/internal/opt"
-	"fgpsim/internal/sched"
-	"fgpsim/internal/sched/exact"
 )
 
 // BadEnlargementError reports a structurally invalid enlargement chain —
@@ -36,14 +37,17 @@ func (e *BadEnlargementError) Error() string {
 }
 
 // Image is a loaded executable: the (possibly enlarged) program plus the
-// per-block metadata the engines need.
+// per-block metadata the engines need. Images are read-only: images of one
+// translation share its program and maps, so a caller that needs to
+// mutate one clones it first. Only a FillUnit image is private to its
+// run, which enlarges it in place (AddChain).
 type Image struct {
 	Prog *ir.Program
 	Cfg  machine.Config
 
-	// Words holds the static multinodeword schedule per block (static
-	// discipline only).
-	Words map[ir.BlockID]sched.Schedule
+	// Schedule is the packed static multinodeword schedule (static
+	// discipline only); read it through Words.
+	Schedule *Schedule
 
 	// Chains maps each materialized enlarged block (primary or fault
 	// prefix) to the sequence of original blocks it covers. Original
@@ -69,7 +73,7 @@ type Image struct {
 	Degraded bool
 
 	// liveness caches per-function liveness of the original program, used
-	// by run-time (fill unit) materialization. Lazily built.
+	// by run-time (fill unit) materialization. Lazily built by AddChain.
 	liveness map[ir.FuncID]*opt.LiveInfo
 }
 
@@ -89,42 +93,42 @@ func (im *Image) TermOrigOf(id ir.BlockID) ir.BlockID {
 	return id
 }
 
-// Load builds the executable image for one machine configuration. ef is
-// required for (and only used by) the enlarged and perfect branch modes.
+// Load builds the executable image for one machine configuration: the
+// translation for its block mode, bound to cfg with the static schedule
+// packed for it. ef is required for (and only used by) the enlarged and
+// perfect branch modes. A SingleBB image shares base.
 func Load(base *ir.Program, cfg machine.Config, ef *enlarge.File) (*Image, error) {
+	tr, err := Translate(base, cfg.Branch, ef)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Bind(cfg, Pack(tr.Prog, cfg))
+}
+
+// Translate is the loader's first step, the one that depends only on the
+// block mode. SingleBB returns base itself, shared and untouched;
+// EnlargedBB and Perfect clone it and materialize ef's chains; FillUnit
+// gets a private clone, which the fill unit enlarges at run time. The
+// result carries no Cfg and no schedule: Bind makes a machine's image of
+// it.
+func Translate(base *ir.Program, mode machine.BranchMode, ef *enlarge.File) (*Image, error) {
 	img := &Image{
-		Prog:     Clone(base),
-		Cfg:      cfg,
+		Prog:     base,
 		Chains:   make(map[ir.BlockID][]ir.BlockID),
 		TermOrig: make(map[ir.BlockID]ir.BlockID),
 		EntryMap: make(map[ir.BlockID]ir.BlockID),
 	}
-	switch cfg.Branch {
+	switch mode {
 	case machine.EnlargedBB, machine.Perfect:
 		if ef == nil {
-			return nil, fmt.Errorf("loader: %s branch mode requires an enlargement file", cfg.Branch)
+			return nil, fmt.Errorf("loader: %s branch mode requires an enlargement file", mode)
 		}
+		img.Prog = Clone(base)
 		if err := img.materialize(ef); err != nil {
 			return nil, err
 		}
 	case machine.FillUnit:
-		if cfg.Disc == machine.Static {
-			return nil, fmt.Errorf("loader: the fill unit requires a dynamically scheduled machine")
-		}
-	}
-	if cfg.Disc == machine.Static {
-		img.Words = make(map[ir.BlockID]sched.Schedule, len(img.Prog.Blocks))
-		for _, b := range img.Prog.Blocks {
-			if cfg.Sched == machine.ExactSched {
-				// Opt-in exact mode: branch-and-bound optimal packing for
-				// small blocks under the default deterministic budget (so
-				// the image is reproducible), list schedule beyond it. The
-				// result is legal under the same rules either way.
-				img.Words[b.ID] = exact.Schedule(b, cfg.Issue, cfg.Mem.HitLatency, exact.DefaultOptions()).Schedule
-			} else {
-				img.Words[b.ID] = sched.Block(b, cfg.Issue, cfg.Mem.HitLatency)
-			}
-		}
+		img.Prog = Clone(base)
 	}
 	if err := img.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("loader: invalid image: %w", err)
@@ -132,13 +136,41 @@ func Load(base *ir.Program, cfg machine.Config, ef *enlarge.File) (*Image, error
 	return img, nil
 }
 
+// Bind returns the image of translation tr on machine cfg: a shallow copy
+// that carries cfg and s, the schedule Pack made from tr.Prog for cfg (nil
+// for a dynamically scheduled machine).
+func (tr *Image) Bind(cfg machine.Config, s *Schedule) (*Image, error) {
+	if err := checkMachine(cfg, s); err != nil {
+		return nil, err
+	}
+	img := *tr
+	img.Cfg = cfg
+	img.Schedule = s
+	return &img, nil
+}
+
+// checkMachine reports a machine an image cannot run on: a fill unit on a
+// statically scheduled machine, or a schedule s that the discipline does
+// not match.
+func checkMachine(cfg machine.Config, s *Schedule) error {
+	static := cfg.Disc == machine.Static
+	if static && cfg.Branch == machine.FillUnit {
+		return fmt.Errorf("loader: the fill unit requires a dynamically scheduled machine")
+	}
+	if static != (s != nil) {
+		return fmt.Errorf("loader: %s: a statically scheduled machine needs a schedule, a dynamic one none", cfg)
+	}
+	return nil
+}
+
 // LoadDegrading is Load with the corrupt-enlargement degrade policy: a
 // *BadEnlargementError does not fail the load, it falls back to the
 // configuration's single-basic-block equivalent — EnlargedBB becomes
 // SingleBB; Perfect keeps its oracle predictor but drops the enlargement
-// (an empty file) — and marks the image Degraded. The program still runs
-// and produces identical output; only the timing loses the enlargement
-// benefit. Any other load error is returned as-is.
+// — and marks the image Degraded. Both run the single-block translation,
+// since an empty enlargement file would materialize and redirect nothing.
+// The program still runs and produces identical output; only the timing
+// loses the enlargement benefit. Any other load error is returned as-is.
 func LoadDegrading(base *ir.Program, cfg machine.Config, ef *enlarge.File) (*Image, error) {
 	img, err := Load(base, cfg, ef)
 	if err == nil {
@@ -149,20 +181,20 @@ func LoadDegrading(base *ir.Program, cfg machine.Config, ef *enlarge.File) (*Ima
 		return nil, err
 	}
 	if cfg.Branch == machine.EnlargedBB {
-		fallback := cfg
-		fallback.Branch = machine.SingleBB
-		img, err = Load(base, fallback, nil)
-	} else {
-		img, err = Load(base, cfg, &enlarge.File{})
+		cfg.Branch = machine.SingleBB
 	}
+	tr, err := Translate(base, machine.SingleBB, nil)
 	if err != nil {
+		return nil, err
+	}
+	if img, err = tr.Bind(cfg, Pack(tr.Prog, cfg)); err != nil {
 		return nil, err
 	}
 	img.Degraded = true
 	return img, nil
 }
 
-// Clone deep-copies a program so that per-configuration rewrites never
+// Clone deep-copies a program so that a translation's rewrites never
 // touch the shared base.
 func Clone(p *ir.Program) *ir.Program {
 	np := &ir.Program{
@@ -186,18 +218,15 @@ func Clone(p *ir.Program) *ir.Program {
 	return np
 }
 
-// ensureLiveness computes and caches per-function liveness of the original
-// program; live-ins are keyed by original block IDs, which is what
-// terminators reference at merged-block optimization time.
-func (img *Image) ensureLiveness() {
-	if img.liveness != nil {
-		return
-	}
-	p := img.Prog
-	img.liveness = make(map[ir.FuncID]*opt.LiveInfo, len(p.Funcs))
+// liveness computes per-function liveness of an original program;
+// live-ins are keyed by original block IDs, which is what terminators
+// reference at merged-block optimization time.
+func liveness(p *ir.Program) map[ir.FuncID]*opt.LiveInfo {
+	live := make(map[ir.FuncID]*opt.LiveInfo, len(p.Funcs))
 	for _, f := range p.Funcs {
-		img.liveness[f.ID] = opt.Liveness(p, f, ir.NumRegs)
+		live[f.ID] = opt.Liveness(p, f, ir.NumRegs)
 	}
+	return live
 }
 
 // AddChain materializes one enlargement chain at run time (the fill-unit
@@ -206,7 +235,9 @@ func (img *Image) ensureLiveness() {
 // EntryMap. Liveness is computed against the original blocks, which stay
 // immutable, so adding chains mid-simulation is safe.
 func (img *Image) AddChain(c enlarge.Chain) (ir.BlockID, error) {
-	img.ensureLiveness()
+	if img.liveness == nil {
+		img.liveness = liveness(img.Prog)
+	}
 	if _, dup := img.EntryMap[c.Entry]; dup {
 		return 0, fmt.Errorf("loader: entry %d already enlarged", c.Entry)
 	}
@@ -220,9 +251,9 @@ func (img *Image) AddChain(c enlarge.Chain) (ir.BlockID, error) {
 // blocks inside img.Prog and redirects control transfers to them.
 func (img *Image) materialize(ef *enlarge.File) error {
 	p := img.Prog
-	img.ensureLiveness()
+	live := liveness(p)
 	for ci, chain := range ef.Chains {
-		if err := img.materializeChain(chain, img.liveness); err != nil {
+		if err := img.materializeChain(chain, live); err != nil {
 			var be *BadEnlargementError
 			if errors.As(err, &be) {
 				be.Chain = ci

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"fgpsim/internal/core"
 	"fgpsim/internal/enlarge"
+	"fgpsim/internal/exp"
 	"fgpsim/internal/interp"
 	"fgpsim/internal/ir"
 	"fgpsim/internal/loader"
@@ -170,13 +172,13 @@ func TestStaticImageHasSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range img.Prog.Blocks {
-		s, ok := img.Words[b.ID]
+		s, ok := img.Words(b.ID)
 		if !ok {
 			t.Fatalf("block %d has no schedule", b.ID)
 		}
 		n := 0
-		for _, w := range s {
-			n += len(w)
+		for i := 0; i < s.Len(); i++ {
+			n += len(s.Word(i))
 		}
 		if n != len(b.Body)+1 {
 			t.Fatalf("block %d schedule covers %d of %d nodes", b.ID, n, len(b.Body)+1)
@@ -190,7 +192,7 @@ func TestDynamicImageHasNoSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Words != nil {
+	if _, ok := img.Words(0); ok {
 		t.Error("dynamic image should not carry word schedules")
 	}
 }
@@ -216,10 +218,32 @@ func TestImageSerializationRoundTrip(t *testing.T) {
 	if len(back.Prog.Blocks) != len(img.Prog.Blocks) {
 		t.Error("block count changed")
 	}
-	if len(back.Words) != len(img.Words) {
+	scheduled := func(im *loader.Image) int {
+		n := 0
+		for _, b := range im.Prog.Blocks {
+			if _, ok := im.Words(b.ID); ok {
+				n++
+			}
+		}
+		return n
+	}
+	if scheduled(back) != scheduled(img) {
 		t.Error("schedules lost")
 	}
 	in := []byte("check execution")
+	// The static engine reads the packed schedule, so the timed runs agree
+	// only if it survived the round trip word for word.
+	ra, err := core.Run(img, in, nil, nil, nil, core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := core.Run(back, in, nil, nil, nil, core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.DigestStats(ra.Stats) != exp.DigestStats(rb.Stats) {
+		t.Errorf("deserialized image simulates differently: %d cycles, want %d", rb.Stats.Cycles, ra.Stats.Cycles)
+	}
 	a, err := interp.Run(img.Prog, in, nil, interp.Options{MaxNodes: 1 << 24})
 	if err != nil {
 		t.Fatal(err)

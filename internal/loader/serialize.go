@@ -27,6 +27,14 @@ func Unmarshal(data []byte) (*Image, error) {
 	if err := im.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("loader: decoded image: %w", err)
 	}
+	if err := checkMachine(im.Cfg, im.Schedule); err != nil {
+		return nil, err
+	}
+	if im.Schedule != nil {
+		if err := im.Schedule.check(im.Prog); err != nil {
+			return nil, fmt.Errorf("loader: decoded image: %w", err)
+		}
+	}
 	return &im, nil
 }
 

@@ -262,7 +262,11 @@ func Sweep(name string, units []*Unit, cfg Config) (*CorpusReport, []Violation, 
 						if b == nil {
 							continue
 						}
-						v := measureBlock(b, img.Words[b.ID], im, mc.HitLatency, opts, cfg.SmallNode, acc, &total)
+						var list sched.Schedule
+						if words, ok := img.Words(b.ID); ok {
+							list = words.Schedule()
+						}
+						v := measureBlock(b, list, im, mc.HitLatency, opts, cfg.SmallNode, acc, &total)
 						for _, msg := range v {
 							violations = append(violations, Violation{Unit: u.Name, Row: rowName, Block: b.ID, Msg: msg})
 						}

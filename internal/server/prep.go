@@ -14,9 +14,11 @@ import (
 // build, reference run), so a long-lived daemon does it once per program
 // and amortizes it across every request and sweep cell that follows —
 // the service-shaped analogue of exp's per-sweep image cache. An entry
-// holds its program's block trace and cached images, so the cache keeps
-// at most prepCacheCap completed entries and evicts the least recently
-// used beyond that; an entry still being prepared is never evicted.
+// holds its program's block trace and its image cache (one enlarged
+// translation and the packed static schedules; single-block images share
+// the compiled program), so the cache keeps at most prepCacheCap completed
+// entries and evicts the least recently used beyond that; an entry still
+// being prepared is never evicted.
 type prepCache struct {
 	mu    sync.Mutex
 	m     map[string]*prepEntry
