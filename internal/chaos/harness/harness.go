@@ -534,7 +534,7 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 	// a 200 on a result whose digest does not verify over its stats means
 	// the ingest gate let corruption through.
 	var ackedMu sync.Mutex
-	acked := make(map[string]uint64) // cell id -> stats fingerprint
+	acked := make(map[string]string) // cell id -> stats digest
 	corruptServed := ""              // first offending detail, "" = none
 	var workerFS []*chaos.FS
 	var workerTR []*chaos.Transport
@@ -560,7 +560,7 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 				return
 			}
 			ackedMu.Lock()
-			acked[res.Cell] = exp.StatsFingerprint(res.Stats)
+			acked[res.Cell] = exp.DigestStats(res.Stats)
 			if res.Digest != "" && exp.DigestStats(res.Stats) != res.Digest && corruptServed == "" {
 				corruptServed = fmt.Sprintf("cell %s: 200 ack on digest %s over stats digesting to %s",
 					res.Cell, res.Digest, exp.DigestStats(res.Stats))
@@ -694,12 +694,12 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 	// overturned (their loss from the final results is the audit working).
 	if opts.MangleWorker == nil {
 		ackedMu.Lock()
-		ackedCopy := make(map[string]uint64, len(acked))
+		ackedCopy := make(map[string]string, len(acked))
 		for k, v := range acked {
 			ackedCopy[k] = v
 		}
 		ackedMu.Unlock()
-		for cell, fp := range ackedCopy {
+		for cell, digest := range ackedCopy {
 			keyStr, ok := idToKey[cell]
 			if !ok {
 				rep.Violation = "acked-result-lost"
@@ -707,16 +707,16 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 				return rep, nil
 			}
 			got, ok := st.Results[keyStr]
-			if !ok || exp.StatsFingerprint(got) != fp {
+			if !ok || exp.DigestStats(got) != digest {
 				rep.Violation = "acked-result-lost"
-				rep.Detail = fmt.Sprintf("cell %s (%s): acked fingerprint %016x missing from final results", cell, keyStr, fp)
+				rep.Detail = fmt.Sprintf("cell %s (%s): acked digest %s missing from final results", cell, keyStr, digest)
 				return rep, nil
 			}
 		}
 	}
 	// Invariant 6: the on-disk journal re-merges to the served results.
 	jpath := filepath.Join(coordCfg.JournalDir, "sweep-"+id+".cells")
-	merged, jerr := exp.ReadJournal(chaos.OS{}, jpath)
+	merged, jerr := exp.MergeJournals(chaos.OS{}, nil, jpath)
 	if jerr != nil {
 		rep.Violation = "journal-mismatch"
 		rep.Detail = fmt.Sprintf("cell journal unreadable: %v", jerr)
@@ -727,12 +727,12 @@ func Run(opts Options, sched *chaos.Schedule) (*Report, error) {
 		rep.Detail = fmt.Sprintf("journal has %d cells, served results %d", len(merged), len(st.Results))
 		return rep, nil
 	}
-	for k, run := range merged {
+	for k, rec := range merged {
 		got, ok := st.Results[server.KeyString(k)]
-		if !ok || exp.StatsFingerprint(got) != exp.StatsFingerprint(run) {
+		if !ok || exp.DigestStats(got) != rec.Digest {
 			rep.Violation = "journal-mismatch"
-			rep.Detail = fmt.Sprintf("key %s: journal fingerprint %016x, served %016x",
-				server.KeyString(k), exp.StatsFingerprint(run), statsFpOrZero(got))
+			rep.Detail = fmt.Sprintf("key %s: journal digest %s, served %s",
+				server.KeyString(k), rec.Digest, statsDigestOrNone(got))
 			return rep, nil
 		}
 	}
@@ -763,11 +763,11 @@ func getMetricInt(baseURL, name string) int64 {
 	return int64(v)
 }
 
-func statsFpOrZero(s *stats.Run) uint64 {
+func statsDigestOrNone(s *stats.Run) string {
 	if s == nil {
-		return 0
+		return "none"
 	}
-	return exp.StatsFingerprint(s)
+	return exp.DigestStats(s)
 }
 
 // Explore plans and runs one schedule per seed, returning every report in

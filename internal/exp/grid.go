@@ -167,13 +167,14 @@ func GridContext(ctx context.Context, prepared []*Prepared, cfgs []machine.Confi
 		if err != nil {
 			return res, err // *StaleJournalError, or the file is unreadable
 		}
-		prior, err := ReadJournal(disk, opts.Journal)
+		prior, err := MergeJournals(disk, nil, opts.Journal)
 		if err != nil {
 			return res, fmt.Errorf("exp: journal %s: %w", opts.Journal, err)
 		}
 		pending = jobs[:0]
 		for _, j := range jobs {
-			if s, ok := prior[j.key]; ok {
+			if rec, ok := prior[j.key]; ok {
+				s := rec.Stats
 				res.Runs[j.key] = s
 				if opts.Observer != nil {
 					opts.Observer(CellOutcome{Key: j.key, Restored: true, Stats: s})
@@ -435,4 +436,4 @@ func CellSnapshotPath(dir string, k Key) string {
 }
 
 // The JSON-lines journal lives in journal.go (exported: Journal,
-// ReplayJournal, ReadJournal) so internal/server can reuse it.
+// ReplayJournal, MergeJournals) so internal/server can reuse it.

@@ -51,7 +51,7 @@ func DigestStats(s *stats.Run) string {
 
 // entryDigest is the content digest of a journal record: the entry's
 // canonical encoding with the Digest field itself cleared. It covers the
-// key, stats, fingerprint, and attempt together, so a flipped bit in any
+// key, stats and attempt together, so a flipped bit in any
 // of them — not just the payload — fails verification.
 func entryDigest(e journalEntry) string {
 	e.Digest = ""
@@ -148,35 +148,12 @@ func verifyCellLine(path string, line []byte, final bool) (*journalEntry, *Integ
 	return &e, nil
 }
 
-// MergeJournalRecordsVerified is MergeJournalRecords under the strict
-// digest policy: every cell record must carry a matching content digest.
-// Records that fail verification are rejected — reported through onErr
-// (which may be nil) and excluded from the merge, so the affected cells
-// appear unfinished and requeue — but never abort the merge. A missing
-// file is an empty journal; an unparseable final line is the usual torn
-// tail and is tolerated silently.
-//
-// This is the fabric coordinator's recovery path. The tolerant merge
-// (MergeJournalRecords) remains for single-writer resume journals,
-// which predate digests; even there, replayCells rejects a record whose
-// digest is present but wrong.
-func MergeJournalRecordsVerified(disk chaos.Disk, onErr func(*IntegrityError), paths ...string) (map[Key]CellRecord, error) {
-	winners := make(map[Key]cellWinner)
-	for _, path := range paths {
-		if err := verifyCells(disk, path, winners, onErr); err != nil {
-			return nil, err
-		}
-	}
-	m := make(map[Key]CellRecord, len(winners))
-	for k, w := range winners {
-		m[k] = CellRecord{Stats: w.stats, Attempt: w.attempt, Fp: w.fp}
-	}
-	return m, nil
-}
-
-// verifyCells folds one journal into the winners map under the strict
-// digest policy, reporting rejected records through onErr.
-func verifyCells(disk chaos.Disk, path string, m map[Key]cellWinner, onErr func(*IntegrityError)) error {
+// walkCells is the one read of a cell journal: every line goes through
+// verifyCellLine, each verified record to fn in file order and each
+// rejected one to onReject (which may be nil). A missing file is an empty
+// journal. The read goes through disk.ReadFile so seeded bitrot faults
+// (chaos.BitrotRead) reach it.
+func walkCells(disk chaos.Disk, path string, onReject func(*IntegrityError), fn func(*journalEntry)) error {
 	data, err := disk.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -188,61 +165,28 @@ func verifyCells(disk chaos.Disk, path string, m map[Key]cellWinner, onErr func(
 	for i, line := range lines {
 		// A complete journal ends with '\n', so Split leaves an empty last
 		// element; a non-empty last element IS the torn tail.
-		final := i == len(lines)-1
-		e, ierr := verifyCellLine(path, bytes.TrimSpace(line), final)
-		if ierr != nil {
-			if onErr != nil {
-				onErr(ierr)
+		e, ierr := verifyCellLine(path, bytes.TrimSpace(line), i == len(lines)-1)
+		switch {
+		case ierr != nil:
+			if onReject != nil {
+				onReject(ierr)
 			}
-			continue
-		}
-		if e == nil {
-			continue
-		}
-		if e.Stats.BlockSizes == nil {
-			e.Stats.BlockSizes = make(map[int]int64)
-		}
-		var fp uint64
-		if e.Fp != "" {
-			if _, err := fmt.Sscanf(e.Fp, "%x", &fp); err != nil {
-				fp = 0
-			}
-		}
-		cur, ok := m[e.Key]
-		if !ok || cur.supersededBy(e.Attempt, fp) {
-			m[e.Key] = cellWinner{stats: e.Stats, attempt: e.Attempt, fp: fp}
+		case e != nil:
+			fn(e)
 		}
 	}
 	return nil
 }
 
-// ScrubJournal re-walks one cell journal under the strict digest policy
-// and reports every record that fails verification, without mutating
-// anything — journals are append-only and shared with live writers, and a
-// corrupt record is already harmless (the verified merge rejects it), so
-// the scrubber's job here is detection, not repair. total counts the
-// verified cell records. The read goes through disk.ReadFile so seeded
-// bitrot faults (chaos.BitrotRead) reach it.
+// ScrubJournal re-walks one cell journal and reports every record that
+// fails verification, without mutating anything — journals are
+// append-only and shared with live writers, and a corrupt record is
+// already harmless (MergeJournals rejects it), so the scrubber's job here
+// is detection, not repair. total counts the verified cell records.
 func ScrubJournal(disk chaos.Disk, path string) (total int, bad []*IntegrityError, err error) {
-	data, err := disk.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil, nil
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	for i, line := range lines {
-		final := i == len(lines)-1
-		e, ierr := verifyCellLine(path, bytes.TrimSpace(line), final)
-		if ierr != nil {
-			ierr.Hop = "scrub"
-			bad = append(bad, ierr)
-			continue
-		}
-		if e != nil {
-			total++
-		}
-	}
-	return total, bad, nil
+	err = walkCells(disk, path, func(ie *IntegrityError) {
+		ie.Hop = "scrub"
+		bad = append(bad, ie)
+	}, func(*journalEntry) { total++ })
+	return total, bad, err
 }

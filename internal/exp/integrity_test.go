@@ -60,7 +60,7 @@ func TestJournalSingleByteCorruptionRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		var errs []*IntegrityError
-		m, err := MergeJournalRecordsVerified(chaos.OS{}, func(ie *IntegrityError) { errs = append(errs, ie) }, path)
+		m, err := MergeJournals(chaos.OS{}, func(ie *IntegrityError) { errs = append(errs, ie) }, path)
 		if err != nil {
 			t.Fatalf("offset %d: merge failed outright: %v", off, err)
 		}

@@ -129,8 +129,8 @@ func (j *Journal) Path() string { return j.path }
 // and the entry is appended again. This is sound because every append
 // fsyncs on its own, so the failed fsync covered only this entry, and the
 // retry lands it through fresh dirty pages. If both copies reach the disk,
-// readers dedup them (the cell merge by attempt and fingerprint, the
-// request journal by id). If the repair fails too, the journal is poisoned
+// readers dedup them (the cell merge by attempt and digest, the request
+// journal by id). If the repair fails too, the journal is poisoned
 // and this and every later Append return a *PoisonedJournalError. An
 // Append after Close fails and never reopens the file.
 func (j *Journal) Append(v any) error {
@@ -240,25 +240,23 @@ func ReplayJournal(disk chaos.Disk, path string, fn func(line []byte) error) err
 
 // journalEntry is one completed cell, serialized as a single JSON line.
 //
-// Fp and Attempt exist for multi-writer journals (the distributed fabric's
-// merged cell journal): when two workers race on a requeued cell, both of
-// their records land in the journal in arrival order, and arrival order is
-// not deterministic. The dedup in ReadJournal therefore resolves duplicate
-// keys by (Attempt, Fp) instead of file order — see cellWinner.supersededBy.
-// Single-writer journals (a plain sweep's resume journal) omit both fields
-// and keep the historical last-write-wins behavior.
+// Attempt exists for multi-writer journals (the fabric coordinator's cell
+// journal): when two workers race on a requeued cell, both records may land
+// in arrival order, which is not deterministic, so the merge resolves
+// duplicate keys by content instead (Supersedes). Single-writer journals (a
+// plain sweep's resume journal) write attempt 0.
 type journalEntry struct {
 	Key   Key        `json:"key"`
 	Stats *stats.Run `json:"stats"`
-	// Fp is the hex StatsFingerprint of Stats (empty on legacy records).
-	Fp string `json:"fp,omitempty"`
 	// Attempt is the assignment ordinal under which the cell ran: the
-	// fabric coordinator increments it on every requeue or steal, so a
-	// higher attempt is by construction the later decision.
+	// fabric coordinator increments it on every requeue, steal and audit, so
+	// a higher attempt is by construction the later decision.
 	Attempt int `json:"attempt,omitempty"`
 	// Digest is the record's content digest (entryDigest: CRC32-C + length
-	// over the record with this field cleared). Empty on legacy records.
-	// Verified on every replay; a mismatch rejects the record.
+	// over the record with this field cleared), verified on every read; a
+	// mismatch rejects the record. Records of the previous format also
+	// carry an "fp" field, which decodes to nothing and is covered by the
+	// digest like any other byte of the line.
 	Digest string `json:"digest,omitempty"`
 }
 
@@ -271,28 +269,10 @@ func (j *Journal) appendResult(e journalEntry) error {
 }
 
 // AppendCell journals one completed cell under an explicit attempt ordinal,
-// stamping the record with the stats' content fingerprint and a content
-// digest. This is the multi-writer append used by the fabric coordinator;
-// plain sweeps append records without the attempt/fingerprint stamp and
-// rely on last-write-wins.
+// stamped with a content digest. This is the multi-writer append used by
+// the fabric coordinator; plain sweeps append at attempt 0.
 func (j *Journal) AppendCell(k Key, s *stats.Run, attempt int) error {
-	return j.appendResult(journalEntry{Key: k, Stats: s, Fp: fmt.Sprintf("%016x", StatsFingerprint(s)), Attempt: attempt})
-}
-
-// StatsFingerprint is a content hash of one cell result: FNV-1a over the
-// canonical (encoding/json) serialization. Two byte-identical results —
-// which is what a deterministic simulator produces for the same cell no
-// matter which worker ran it — always fingerprint equal, so the merge
-// dedup's fingerprint comparison only ever breaks ties between records
-// that genuinely differ.
-func StatsFingerprint(s *stats.Run) uint64 {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return 0
-	}
-	h := specFNV(0xcbf29ce484222325)
-	h.blob(data)
-	return uint64(h)
+	return j.appendResult(journalEntry{Key: k, Stats: s, Attempt: attempt})
 }
 
 // journalSpec is a journal's identity record: the hex form of the sweep's
@@ -398,131 +378,57 @@ func (j *Journal) WriteSpec(spec uint64) error {
 	return j.Append(journalSpec{Spec: fmt.Sprintf("%016x", spec)})
 }
 
-// cellWinner is the currently-winning record for one key during a replay.
-type cellWinner struct {
-	stats   *stats.Run
-	attempt int
-	fp      uint64
-}
-
-// supersededBy reports whether a newly replayed record supersedes the
-// current winner. The ordering is deterministic with respect to record *content*,
-// not file order: a higher attempt ordinal wins (it is the later
-// scheduling decision), and between equal attempts the larger fingerprint
-// wins. Only records indistinguishable on both axes — legacy unstamped
-// lines, or byte-identical results — fall back to last-write-wins, where
-// file order is immaterial precisely because the payloads are equal (or,
-// for legacy single-writer journals, where file order IS the intended
-// order).
-func (w cellWinner) supersededBy(attempt int, fp uint64) bool {
-	if attempt != w.attempt {
-		return attempt > w.attempt
+// Supersedes reports whether a record stamped (newAttempt, newDigest)
+// replaces one stamped (curAttempt, curDigest) for the same cell. The order
+// is deterministic in record content, not file order: a higher attempt wins
+// (it is the later scheduling decision), and between equal attempts the
+// larger content digest (DigestStats) wins. Records equal on both are
+// byte-identical results, so the last write wins and file order is
+// immaterial. The fabric coordinator applies the same rule to results
+// arriving live over HTTP that MergeJournals applies to records read from
+// disk, so a crash and restart settle a raced cell as the live process did.
+func Supersedes(curAttempt int, curDigest string, newAttempt int, newDigest string) bool {
+	if newAttempt != curAttempt {
+		return newAttempt > curAttempt
 	}
-	if fp != w.fp {
-		return fp > w.fp
-	}
-	return true // equal on both axes: last write wins
+	return newDigest >= curDigest
 }
 
-// Supersedes reports whether a record stamped (newAttempt, newFp) replaces
-// one stamped (curAttempt, curFp) under the journal's deterministic dedup
-// order (cellWinner.supersededBy). Exported for the fabric coordinator,
-// which must apply the same rule to results arriving live over HTTP that
-// ReadJournal applies to records replayed from disk — otherwise a crash
-// and restart could settle a raced cell differently than the live process
-// did.
-func Supersedes(curAttempt int, curFp uint64, newAttempt int, newFp uint64) bool {
-	return cellWinner{attempt: curAttempt, fp: curFp}.supersededBy(newAttempt, newFp)
-}
-
-// replayCells folds one journal's entries into the winners map under the
-// deterministic dedup order.
-func replayCells(disk chaos.Disk, path string, m map[Key]cellWinner) error {
-	return ReplayJournal(disk, path, func(line []byte) error {
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		if e.Stats == nil {
-			return fmt.Errorf("exp: journal line without stats")
-		}
-		// Digest verification happens before BlockSizes normalization: the
-		// digest was computed over the record as written, and a record whose
-		// BlockSizes decoded as nil was written with null — normalizing
-		// first would change the canonical bytes. Legacy records (no digest)
-		// pass unverified; this is the tolerant merge.
-		if got := rawEntryDigest(line, e); e.Digest != "" && got != e.Digest {
-			return &IntegrityError{Path: path, Key: e.Key, Hop: "merge", Want: e.Digest, Got: got}
-		}
-		if e.Stats.BlockSizes == nil {
-			e.Stats.BlockSizes = make(map[int]int64)
-		}
-		var fp uint64
-		if e.Fp != "" {
-			if _, err := fmt.Sscanf(e.Fp, "%x", &fp); err != nil {
-				fp = 0 // corrupt stamp: treat as legacy
-			}
-		}
-		cur, ok := m[e.Key]
-		if !ok || cur.supersededBy(e.Attempt, fp) {
-			m[e.Key] = cellWinner{stats: e.Stats, attempt: e.Attempt, fp: fp}
-		}
-		return nil
-	})
-}
-
-// ReadJournal loads the completed cells of a sweep journal, the resume
-// helper behind GridOptions.Journal. Repeated lines for the same Key are
-// deduplicated deterministically: records stamped with an attempt ordinal
-// and fingerprint (AppendCell — the fabric's multi-writer merge case)
-// resolve by (attempt, fingerprint) regardless of the order their writers
-// raced into the file, and unstamped legacy records keep the historical
-// last-write-wins behavior (the journal is append-only, so for a single
-// writer the latest line is the most recent completion).
-func ReadJournal(disk chaos.Disk, path string) (map[Key]*stats.Run, error) {
-	return MergeJournals(disk, path)
-}
-
-// MergeJournals reads several cell journals — the shape a sharded sweep
-// produces, one journal per writer or one journal with interleaved writers
-// — into a single result set under the same deterministic dedup as
-// ReadJournal. The result is independent of both the order records landed
-// within each file and the order the paths are given, provided duplicate
-// records are distinguishable (stamped with attempt/fingerprint); the
-// merged set is therefore byte-identical to what a single-node run of the
-// same sweep would have journaled.
-func MergeJournals(disk chaos.Disk, paths ...string) (map[Key]*stats.Run, error) {
-	recs, err := MergeJournalRecords(disk, paths...)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[Key]*stats.Run, len(recs))
-	for k, r := range recs {
-		m[k] = r.Stats
-	}
-	return m, nil
-}
-
-// CellRecord is one merged journal winner together with its dedup stamp,
-// for callers (the fabric coordinator's restart recovery) that must keep
-// deduplicating against results that arrive after the replay.
+// CellRecord is one merged journal winner with its merge stamp: the
+// attempt and the content digest (DigestStats) of its stats.
 type CellRecord struct {
 	Stats   *stats.Run
 	Attempt int
-	Fp      uint64
+	Digest  string
 }
 
-// MergeJournalRecords is MergeJournals keeping each winner's stamp.
-func MergeJournalRecords(disk chaos.Disk, paths ...string) (map[Key]CellRecord, error) {
-	winners := make(map[Key]cellWinner)
+// MergeJournals reads cell journals — a plain sweep's resume journal, the
+// fabric coordinator's, or several writers' — into one winner per key
+// under Supersedes. The result is independent of the order records landed
+// within each file and of the order the paths are given. Every record must
+// carry a matching content digest (verifyCellLine): one that does not is
+// rejected — reported through onReject, which may be nil, and left out, so
+// its cell appears unfinished and re-runs — but never aborts the merge. A
+// missing file is an empty journal, and an unparseable final line is the
+// torn tail of a killed writer, tolerated silently.
+func MergeJournals(disk chaos.Disk, onReject func(*IntegrityError), paths ...string) (map[Key]CellRecord, error) {
+	m := make(map[Key]CellRecord)
 	for _, path := range paths {
-		if err := replayCells(disk, path, winners); err != nil {
+		err := walkCells(disk, path, onReject, func(e *journalEntry) {
+			// Digests were verified over the record as written; a record
+			// whose BlockSizes decoded as nil was written with null, so
+			// normalizing comes after verification.
+			if e.Stats.BlockSizes == nil {
+				e.Stats.BlockSizes = make(map[int]int64)
+			}
+			d := DigestStats(e.Stats)
+			if cur, ok := m[e.Key]; !ok || Supersedes(cur.Attempt, cur.Digest, e.Attempt, d) {
+				m[e.Key] = CellRecord{Stats: e.Stats, Attempt: e.Attempt, Digest: d}
+			}
+		})
+		if err != nil {
 			return nil, err
 		}
-	}
-	m := make(map[Key]CellRecord, len(winners))
-	for k, w := range winners {
-		m[k] = CellRecord{Stats: w.stats, Attempt: w.attempt, Fp: w.fp}
 	}
 	return m, nil
 }

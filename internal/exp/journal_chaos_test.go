@@ -58,7 +58,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		if lines := strings.Count(string(data), "\n"); lines != 4 {
 			t.Fatalf("journal has %d lines, want 4 (k2 appended twice):\n%s", lines, data)
 		}
-		m, err := ReadJournal(chaos.OS{}, path)
+		m, err := readJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		if got := JournalFsyncFailures(); got != before+2 {
 			t.Fatalf("poisoned appends re-counted fsync failures: %d", got-before)
 		}
-		m, err := ReadJournal(chaos.OS{}, path)
+		m, err := readJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := ReadJournal(chaos.OS{}, path)
+		m, err := readJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestJournalTornWriteDoesNotGlueNextAppend(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 	}
 	e.Close()
 
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

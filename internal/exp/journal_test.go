@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,6 +20,20 @@ func runWithCycles(c int64) *stats.Run {
 	return s
 }
 
+// readJournal merges journals with no reject callback and keeps each
+// winner's stats.
+func readJournal(paths ...string) (map[Key]*stats.Run, error) {
+	recs, err := MergeJournals(chaos.OS{}, nil, paths...)
+	if err != nil {
+		return nil, err
+	}
+	m := make(map[Key]*stats.Run, len(recs))
+	for k, r := range recs {
+		m[k] = r.Stats
+	}
+	return m, nil
+}
+
 func TestJournalAppendReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
 	j, err := OpenJournal(chaos.OS{}, path)
@@ -29,16 +41,16 @@ func TestJournalAppendReadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1, k2 := journalKey("a"), journalKey("b")
-	if err := j.Append(journalEntry{Key: k1, Stats: runWithCycles(10)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k1, Stats: runWithCycles(10)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journalEntry{Key: k2, Stats: runWithCycles(20)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k2, Stats: runWithCycles(20)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +59,41 @@ func TestJournalAppendReadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestJournalDuplicateKeysLastWriteWins covers resume deduplication: a
-// journal holding several lines for the same key (a cell re-run after a
-// partial resume) must restore the latest line.
-func TestJournalDuplicateKeysLastWriteWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.journal")
-	j, err := OpenJournal(chaos.OS{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestJournalDuplicateKeysOrderIndependent covers resume deduplication: a
+// journal holding several attempt-0 lines for the same key (a single
+// writer journals a key at most once per run, so these come from several
+// runs) restores one of them by content — the largest digest — whatever
+// order the lines landed in.
+func TestJournalDuplicateKeysOrderIndependent(t *testing.T) {
 	k := journalKey("dup")
-	for _, cycles := range []int64{1, 2, 3} {
-		if err := j.Append(journalEntry{Key: k, Stats: runWithCycles(cycles)}); err != nil {
-			t.Fatal(err)
+	runs := []*stats.Run{runWithCycles(1), runWithCycles(2), runWithCycles(3)}
+	want := runs[0]
+	for _, r := range runs[1:] {
+		if DigestStats(r) > DigestStats(want) {
+			want = r
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadJournal(chaos.OS{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 || m[k].Cycles != 3 {
-		t.Fatalf("want single entry with cycles=3 (last write), got %+v", m)
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}} {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		j, err := OpenJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range order {
+			if err := j.appendResult(journalEntry{Key: k, Stats: runs[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != 1 || m[k].Cycles != want.Cycles {
+			t.Fatalf("order %v: want the single largest-digest entry (cycles=%d), got %+v", order, want.Cycles, m)
+		}
 	}
 }
 
@@ -84,16 +107,16 @@ func TestJournalReplayedTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1, k2 := journalKey("x"), journalKey("y")
-	if err := j.Append(journalEntry{Key: k1, Stats: runWithCycles(7)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k1, Stats: runWithCycles(7)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journalEntry{Key: k2, Stats: runWithCycles(9)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k2, Stats: runWithCycles(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	once, err := ReadJournal(chaos.OS{}, path)
+	once, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +127,7 @@ func TestJournalReplayedTwice(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte{}, data...), data...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	twice, err := ReadJournal(chaos.OS{}, path)
+	twice, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +150,10 @@ func TestJournalTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1, k2 := journalKey("keep"), journalKey("torn")
-	if err := j.Append(journalEntry{Key: k1, Stats: runWithCycles(5)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k1, Stats: runWithCycles(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journalEntry{Key: k2, Stats: runWithCycles(6)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k2, Stats: runWithCycles(6)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -143,7 +166,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +184,7 @@ func TestJournalOpenIsAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1 := journalKey("first")
-	if err := j.Append(journalEntry{Key: k1, Stats: runWithCycles(1)}); err != nil {
+	if err := j.appendResult(journalEntry{Key: k1, Stats: runWithCycles(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -172,13 +195,13 @@ func TestJournalOpenIsAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := journalKey("second")
-	if err := j2.Append(journalEntry{Key: k2, Stats: runWithCycles(2)}); err != nil {
+	if err := j2.appendResult(journalEntry{Key: k2, Stats: runWithCycles(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,23 +211,37 @@ func TestJournalOpenIsAppend(t *testing.T) {
 }
 
 // TestReplayJournalSkipsMalformed checks arbitrary garbage lines in the
-// middle of a journal are skipped without aborting the replay.
+// middle of a journal are rejected one by one without aborting the merge.
 func TestReplayJournalSkipsMalformed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
 	k := journalKey("good")
-	good, _ := json.Marshal(journalEntry{Key: k, Stats: runWithCycles(4)})
+	j, err := OpenJournal(chaos.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.appendResult(journalEntry{Key: k, Stats: runWithCycles(4)}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	content := append([]byte("{not json\n\n"), good...)
-	content = append(content, '\n')
 	content = append(content, []byte("{\"key\":{},\"stats\":null}\n")...)
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	rejected := 0
+	recs, err := MergeJournals(chaos.OS{}, func(*IntegrityError) { rejected++ }, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 1 || m[k] == nil || m[k].Cycles != 4 {
-		t.Fatalf("read %+v, want only the well-formed entry", m)
+	if len(recs) != 1 || recs[k].Stats == nil || recs[k].Stats.Cycles != 4 {
+		t.Fatalf("read %+v, want only the well-formed entry", recs)
+	}
+	if rejected != 2 {
+		t.Fatalf("rejected %d lines, want the 2 malformed ones", rejected)
 	}
 }
 
@@ -213,7 +250,7 @@ func TestReplayJournalSkipsMalformed(t *testing.T) {
 // presumed dead and the cell was requeued, then the "dead" worker's result
 // arrived anyway), and their records land in the journal in whichever
 // order the network delivered them. The dedup must resolve by (attempt
-// ordinal, fingerprint), not file order: the same winner regardless of
+// ordinal, digest), not file order: the same winner regardless of
 // interleaving.
 func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 	k := journalKey("race")
@@ -228,7 +265,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if err := j.Append(e); err != nil {
+			if err := j.appendResult(e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +275,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 		return path
 	}
 	stamp := func(s *stats.Run, attempt int) journalEntry {
-		return journalEntry{Key: k, Stats: s, Fp: fmt.Sprintf("%016x", StatsFingerprint(s)), Attempt: attempt}
+		return journalEntry{Key: k, Stats: s, Attempt: attempt}
 	}
 
 	// Both interleavings of the duplicate records must pick attempt 2.
@@ -246,7 +283,7 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 		"old-then-new": {stamp(first, 1), stamp(second, 2)},
 		"new-then-old": {stamp(second, 2), stamp(first, 1)},
 	} {
-		m, err := ReadJournal(chaos.OS{}, write(t, order))
+		m, err := readJournal(write(t, order))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -256,27 +293,27 @@ func TestJournalMultiWriterDedupDeterministic(t *testing.T) {
 	}
 
 	// Equal attempts (two workers raced the same assignment epoch — a
-	// duplicate steal) resolve by fingerprint, again order-independently.
+	// duplicate steal) resolve by content digest, again order-independently.
 	a := runWithCycles(10)
 	b := runWithCycles(20)
-	fa, fb := StatsFingerprint(a), StatsFingerprint(b)
-	if fa == fb {
-		t.Fatal("test stats must fingerprint differently")
+	da, db := DigestStats(a), DigestStats(b)
+	if da == db {
+		t.Fatal("test stats must digest differently")
 	}
 	wantCycles := int64(10)
-	if fb > fa {
+	if db > da {
 		wantCycles = 20
 	}
 	for name, order := range map[string][]journalEntry{
 		"a-then-b": {stamp(a, 3), stamp(b, 3)},
 		"b-then-a": {stamp(b, 3), stamp(a, 3)},
 	} {
-		m, err := ReadJournal(chaos.OS{}, write(t, order))
+		m, err := readJournal(write(t, order))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(m) != 1 || m[k].Cycles != wantCycles {
-			t.Fatalf("%s: want fingerprint-ordered winner (cycles=%d), got %+v", name, wantCycles, m[k])
+			t.Fatalf("%s: want digest-ordered winner (cycles=%d), got %+v", name, wantCycles, m[k])
 		}
 	}
 }
@@ -313,7 +350,7 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 		"a-first": {pa, pb},
 		"b-first": {pb, pa},
 	} {
-		m, err := MergeJournals(chaos.OS{}, paths...)
+		m, err := readJournal(paths...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -330,7 +367,7 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 }
 
 // TestAppendCellReadRoundtrip checks the stamped append is readable by the
-// plain resume path (ReadJournal) like any other record.
+// plain resume path (MergeJournals) like any other record.
 func TestAppendCellReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
 	j, err := OpenJournal(chaos.OS{}, path)
@@ -344,7 +381,7 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadJournal(chaos.OS{}, path)
+	m, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +392,51 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 
 // TestReadJournalMissingFile treats a nonexistent journal as empty.
 func TestReadJournalMissingFile(t *testing.T) {
-	m, err := ReadJournal(chaos.OS{}, filepath.Join(t.TempDir(), "nope.journal"))
+	m, err := readJournal(filepath.Join(t.TempDir(), "nope.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m) != 0 {
 		t.Fatalf("missing journal read %+v, want empty", m)
+	}
+}
+
+// parentRecord is a cell record as the previous journal format wrote it,
+// with the "fp" fingerprint stamp new records omit (AppendCell of 7 cycles
+// at attempt 3).
+const parentRecord = `{"key":{"Bench":"parent","Disc":2,"Issue":1,"Mem":65,"Branch":0,"Window":0,"Pred":0},"stats":{"Cycles":7,"RetiredNodes":0,"ExecutedNodes":0,"DiscardedNodes":0,"RetiredBlocks":0,"Mispredicts":0,"Faults":0,"Branches":0,"BranchesCorrect":0,"CacheHits":0,"CacheMisses":0,"WindowBlockSum":0,"WindowNodeSum":0,"BlockSizes":{},"InjectedFaults":0,"RepairedFaults":0,"EFDegradations":0,"Work":0},"fp":"a149433fccb0123d","attempt":3,"digest":"7c03e3e6:423"}`
+
+// TestJournalParentRecordMerges: a record in the previous format still
+// verifies, scrubs clean and merges against new records under the same
+// order — here a new attempt-2 record loses to it, a new attempt-4 one wins.
+func TestJournalParentRecordMerges(t *testing.T) {
+	k := journalKey("parent")
+	for _, tc := range []struct {
+		attempt    int
+		wantCycles int64
+	}{{2, 7}, {4, 9}} {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		if err := os.WriteFile(path, []byte(parentRecord+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if total, bad, err := ScrubJournal(chaos.OS{}, path); err != nil || len(bad) != 0 || total != 1 {
+			t.Fatalf("parent record scrub: total %d, bad %v, err %v", total, bad, err)
+		}
+		j, err := OpenJournal(chaos.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCell(k, runWithCycles(9), tc.attempt); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		var rejected []*IntegrityError
+		recs, err := MergeJournals(chaos.OS{}, func(ie *IntegrityError) { rejected = append(rejected, ie) }, path)
+		if err != nil || len(rejected) != 0 {
+			t.Fatalf("merge: err %v, rejected %v", err, rejected)
+		}
+		if r := recs[k]; len(recs) != 1 || r.Stats.Cycles != tc.wantCycles || r.Digest != DigestStats(r.Stats) {
+			t.Fatalf("new record at attempt %d: merged %+v, want cycles %d", tc.attempt, r, tc.wantCycles)
+		}
 	}
 }

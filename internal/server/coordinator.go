@@ -14,18 +14,15 @@ import (
 
 	"fgpsim/internal/exp"
 	"fgpsim/internal/snapshot"
-	"fgpsim/internal/stats"
 )
 
 // coordinator is the fabric's scheduling brain; every Server has one, and
-// every sweep runs through it. It owns the authoritative cell state of
-// every accepted sweep: which cells are pending (and which worker's shard
-// they belong to, via the consistent-hash ring over image-cache keys),
-// which are in flight under which lease, and which are settled with what
-// winning record. One mutex guards all of it; the fsync'd journals (cell
-// results, assignments) are appended outside the lock, in whatever order
-// the handlers race — the deterministic (attempt, fingerprint) merge makes
-// file order immaterial.
+// every sweep runs through it. It owns the worker registry (registry.go),
+// the consistent-hash ring over image-cache keys that shards cells to
+// workers, and every accepted sweep (sweep.go). One mutex guards all of
+// it; the fsync'd journals (cell results, assignments) are appended outside
+// the lock, in whatever order the handlers race — the deterministic
+// (attempt, digest) merge order makes file order immaterial.
 type coordinator struct {
 	s       *Server
 	wd      *watchdog // worker-liveness watchdog (beats = authenticated requests)
@@ -35,8 +32,8 @@ type coordinator struct {
 	workers  map[string]*workerEnt
 	leaseSeq uint64
 	ring     *exp.Ring
-	jobs     map[string]*fabricJob
-	jobOrder []string // unfinished sweeps, in acceptance order
+	sweeps   map[string]*sweep // every sweep this process accepted or resumed
+	open     []*sweep          // unfinished sweeps, in acceptance order
 	// kick is closed (and replaced) whenever new work may be pickable — a
 	// sweep starts, a cell requeues, an audit opens — releasing held polls.
 	kick chan struct{}
@@ -45,106 +42,6 @@ type coordinator struct {
 // pollHold is how long an empty poll is held open waiting for work before
 // it answers empty; the worker then polls again at once.
 const pollHold = 200 * time.Millisecond
-
-type cellState int
-
-const (
-	cellPending cellState = iota
-	cellInflight
-	cellDone
-	cellFailed
-)
-
-// auditState tracks a done cell's re-execution audit (DESIGN.md §17).
-// The values are ordered so that decrementing an inflight state reverts it
-// to its pending form — the requeue path when an auditor dies, is
-// quarantined, or delivers a transit-corrupted result.
-type auditState int
-
-const (
-	auditNone     auditState = iota
-	auditPending             // sampled; waiting for an eligible worker to poll
-	auditInflight            // assigned to auditWorker
-	tiebreakPending
-	tiebreakInflight
-	auditDone
-)
-
-// fabricCell is one grid cell's authoritative state.
-type fabricCell struct {
-	id    string // exp.CellID — the wire identity
-	bench string // "" = the sweep's Source program
-	spec  ConfigSpec
-	key   exp.Key
-	shard uint64 // exp.ShardKey — image-cache affinity on the ring
-
-	state     cellState
-	attempt   int // assignment high-water mark
-	assignees []cellAssignee
-
-	// Winning record, mirrored from the journal's dedup order so live
-	// arrivals and post-restart replays settle identically. winWorker and
-	// winDigest feed the audit comparison; both are empty for cells
-	// restored from a journal replay (those are never audited).
-	winAttempt int
-	winFp      uint64
-	winWorker  string
-	winDigest  string
-	errText    string
-
-	// Re-execution audit state. auditExcl lists workers that may not run
-	// the (next) audit: the winner and any auditor whose bytes already
-	// disagreed — anti-affinity is the whole point of re-execution.
-	audit        auditState
-	auditWorker  string
-	auditLease   uint64
-	auditAttempt int
-	auditExcl    []string
-
-	// Candidate record from a disagreeing audit, held until a tie-break
-	// picks between it and the current winner.
-	candWorker string
-	candFp     uint64
-	candDigest string
-	candStats  *stats.Run
-}
-
-type cellAssignee struct {
-	worker  string
-	lease   uint64
-	attempt int
-	at      time.Time
-}
-
-// fabricJob is one sweep being executed by the fabric. It wraps the
-// Server's ordinary job (which renders /sweep/{id} exactly as a
-// single-node run would — part of the byte-identity story).
-type fabricJob struct {
-	j    *job
-	spec SweepSpec
-
-	// The journals are nil when persistence is off; exp.Journal repairs a
-	// failed fsync itself and refuses appends once the sweep closes them.
-	cellJournal   *exp.Journal // results, exp.AppendCell records
-	assignJournal *exp.Journal // assignRecord lines
-
-	cells map[string]*fabricCell
-	order []string // cell ids in grid order (prepared outer, configs inner)
-
-	pendingN int
-	doneN    int
-	failedN  int
-	finished bool
-
-	// Audit accounting. auditsPending holds the sweep open (settledLocked)
-	// until every sampled audit reaches a verdict; the others mirror into
-	// the job's status under j.mu (syncIntegrityLocked).
-	auditsPending      int
-	auditsRun          int
-	auditsDisagreed    int
-	auditsResolved     int
-	integrityFailuresN int
-}
 
 // newCoordinator builds the coordinator, keeping shipped snapshots in
 // snapDir.
@@ -159,7 +56,7 @@ func newCoordinator(s *Server, snapDir string) (*coordinator, error) {
 		snapDir: snapDir,
 		workers: make(map[string]*workerEnt),
 		ring:    exp.NewRing(),
-		jobs:    make(map[string]*fabricJob),
+		sweeps:  make(map[string]*sweep),
 		kick:    make(chan struct{}),
 	}, nil
 }
@@ -175,7 +72,18 @@ func (c *coordinator) wakeLocked() {
 func (c *coordinator) unfinished() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.jobOrder)
+	return len(c.open)
+}
+
+// status renders GET /sweep/{id}.
+func (c *coordinator) status(id string) (jobStatus, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sw := c.sweeps[id]
+	if sw == nil {
+		return jobStatus{}, false
+	}
+	return sw.status(), true
 }
 
 func (c *coordinator) routes(mux *http.ServeMux) {
@@ -187,171 +95,117 @@ func (c *coordinator) routes(mux *http.ServeMux) {
 	mux.HandleFunc("PUT /fabric/snapshot/{cell}", c.handleSnapshotPut)
 }
 
-func (c *coordinator) assignJournalPath(id string) string {
-	if c.s.cfg.JournalDir == "" {
-		return ""
+// start takes ownership of an accepted sweep: enumerate its cells, replay
+// any prior cell and assignment journals (a coordinator crash or drain
+// left the sweep unfinished; a fresh sweep's journals replay to nothing),
+// and queue the rest for the workers. It returns the sweep's cell count. A
+// sweep whose journals will not open is kept, in state failed.
+func (c *coordinator) start(id string, spec SweepSpec) (cells int, err error) {
+	sw, err := newSweep(id, spec, c.s.cfg.AuditRate, c.s.cfg.StealAfter)
+	if err != nil {
+		return 0, err
 	}
-	return filepath.Join(c.s.cfg.JournalDir, "sweep-"+id+".assign")
-}
-
-// start takes ownership of an accepted sweep: enumerate its cells in grid
-// order, replay any prior cell/assignment journals (the recovered case —
-// a coordinator crash or drain with the sweep unfinished), and queue the
-// rest for the workers. recovered distinguishes a restart replay from a
-// fresh accept only for metrics; the machinery is identical because an
-// empty journal replays to nothing.
-func (c *coordinator) start(j *job, recovered bool) error {
-	fj := &fabricJob{
-		j:     j,
-		spec:  j.Spec,
-		cells: make(map[string]*fabricCell),
+	if err = c.replayJournals(sw); err != nil {
+		sw.state, sw.errText = jobFailed, err.Error()
 	}
-	benches := j.Spec.Benches
-	if len(benches) == 0 {
-		benches = []string{""}
-	}
-	for _, b := range benches {
-		name := b
-		if name == "" {
-			name = sourceName(j.Spec.Source, j.Spec.In0, j.Spec.In1)
-		}
-		for _, cs := range j.Spec.Configs {
-			cfg, err := cs.Config()
-			if err != nil {
-				return err // unreachable: validated at accept
-			}
-			key := exp.KeyOf(name, cfg)
-			cell := &fabricCell{
-				id:    exp.CellID(key),
-				bench: b,
-				spec:  cs,
-				key:   key,
-				shard: exp.ShardKey(name, cfg),
-			}
-			fj.cells[cell.id] = cell
-			fj.order = append(fj.order, cell.id)
-		}
-	}
-
-	disk := c.s.cfg.disk()
-	cellPath := c.s.cellJournalPath(j.ID)
-	if cellPath != "" {
-		// Strict digest verification on replay: a bitrotted or torn record
-		// is rejected (counted, logged) and its cell simply requeues —
-		// corruption on disk never becomes a served result.
-		prior, err := exp.MergeJournalRecordsVerified(disk, func(ie *exp.IntegrityError) {
-			c.s.met.integrityFailures.Add(1)
-			fmt.Fprintf(os.Stderr, "server: fabric journal: %v\n", ie)
-		}, cellPath)
-		if err != nil {
-			return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
-		}
-		for _, cid := range fj.order {
-			cell := fj.cells[cid]
-			if rec, ok := prior[cell.key]; ok {
-				cell.state = cellDone
-				cell.winAttempt, cell.winFp = rec.Attempt, rec.Fp
-				fj.doneN++
-				j.mu.Lock()
-				j.results[keyString(cell.key)] = rec.Stats
-				j.digests[keyString(cell.key)] = exp.DigestStats(rec.Stats)
-				j.mu.Unlock()
-				c.s.met.cellsRestored.Add(1)
-			}
-		}
-		fj.cellJournal, err = exp.OpenJournal(disk, cellPath)
-		if err != nil {
-			return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
-		}
-	}
-	if ap := c.assignJournalPath(j.ID); ap != "" {
-		// Restore each cell's attempt high-water mark so post-restart
-		// assignments supersede pre-restart ones in the merge order.
-		exp.ReplayJournal(disk, ap, func(line []byte) error {
-			var rec assignRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return err
-			}
-			for _, a := range rec.Cells {
-				if cell := fj.cells[a.ID]; cell != nil && a.Attempt > cell.attempt {
-					cell.attempt = a.Attempt
-				}
-			}
-			return nil
-		})
-		var err error
-		fj.assignJournal, err = exp.OpenJournal(disk, ap)
-		if err != nil {
-			return fmt.Errorf("server: assignment journal %s: %w", ap, err)
-		}
-	}
-
-	for _, cid := range fj.order {
-		if fj.cells[cid].state == cellPending {
-			fj.pendingN++
-		}
-	}
-	j.mu.Lock()
-	j.state, j.done = jobRunning, fj.doneN
-	j.mu.Unlock()
-
 	c.mu.Lock()
-	c.jobs[j.ID] = fj
-	c.jobOrder = append(c.jobOrder, j.ID)
-	finished := c.markFinishedLocked(fj)
-	if fj.pendingN > 0 {
+	c.sweeps[id] = sw
+	if err != nil {
+		c.mu.Unlock()
+		return 0, err
+	}
+	c.open = append(c.open, sw)
+	if sw.pendingN > 0 {
 		c.wakeLocked()
 	}
+	finished := c.finishLocked(sw)
 	c.mu.Unlock()
 	if finished {
 		// Every cell was already journaled (crash after the last result,
 		// before the done record).
-		c.finishJob(fj)
+		c.finishSweep(sw)
+	}
+	return len(sw.order), nil
+}
+
+// replayJournals replays sw's journals into it and opens them for
+// appending. The cell journal is read under strict digest verification: a
+// bitrotted or torn record is rejected (counted, logged) and its cell
+// simply requeues — corruption on disk never becomes a served result.
+func (c *coordinator) replayJournals(sw *sweep) error {
+	if c.s.cfg.JournalDir == "" {
+		return nil
+	}
+	disk := c.s.cfg.disk()
+	cellPath := c.s.cellJournalPath(sw.id)
+	assignPath := filepath.Join(c.s.cfg.JournalDir, "sweep-"+sw.id+".assign")
+	winners, err := exp.MergeJournals(disk, func(ie *exp.IntegrityError) {
+		c.s.met.integrityFailures.Add(1)
+		fmt.Fprintf(os.Stderr, "server: fabric journal: %v\n", ie)
+	}, cellPath)
+	if err != nil {
+		return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
+	}
+	marks := make(map[string]int)
+	exp.ReplayJournal(disk, assignPath, func(line []byte) error {
+		var rec assignRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		for _, a := range rec.Cells {
+			marks[a.ID] = max(marks[a.ID], a.Attempt)
+		}
+		return nil
+	})
+	c.s.met.cellsRestored.Add(int64(sw.replay(winners, marks)))
+	if sw.cellJournal, err = exp.OpenJournal(disk, cellPath); err != nil {
+		return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
+	}
+	if sw.assignJournal, err = exp.OpenJournal(disk, assignPath); err != nil {
+		sw.cellJournal.Close()
+		return fmt.Errorf("server: assignment journal %s: %w", assignPath, err)
 	}
 	return nil
 }
 
-// settledLocked reports the sweep ready to finish: every cell settled and
-// every sampled audit resolved. Pending audits are in-memory only — a
-// coordinator crash forgets them and the restarted sweep finishes on its
-// journaled results, which is safe because audits never gate correctness,
-// only detection.
-func (fj *fabricJob) settledLocked() bool {
-	return !fj.finished && fj.doneN+fj.failedN == len(fj.order) && fj.auditsPending == 0
-}
-
-// markFinishedLocked marks a settled sweep finished and drops it from the
-// poll order, reporting whether the caller must now run finishJob (outside
+// finishLocked marks a settled sweep finished and drops it from the poll
+// order, reporting whether the caller must now run finishSweep (outside
 // c.mu). Requires c.mu.
-func (c *coordinator) markFinishedLocked(fj *fabricJob) bool {
-	if !fj.settledLocked() {
+func (c *coordinator) finishLocked(sw *sweep) bool {
+	if !sw.finish() {
 		return false
 	}
-	fj.finished = true
-	c.jobOrder = slices.DeleteFunc(c.jobOrder, func(id string) bool { return id == fj.j.ID })
+	c.open = slices.DeleteFunc(c.open, func(o *sweep) bool { return o == sw })
 	return true
 }
 
-// handlePoll hands a worker up to Max cells: its own shard first, then
-// anything pending (counted as stolen), then — when nothing is pending —
-// a duplicate assignment of the oldest straggler (stealing.go). When there
-// is nothing to hand out the poll is held for up to pollHold, answering as
-// soon as new work appears, so an idle worker learns of a sweep, a
-// requeue or an audit without sleeping between polls.
+// applyLocked applies the rest of a transition's outcome: count requeues,
+// wake held polls, strike a worker. Requires c.mu.
+func (c *coordinator) applyLocked(out outcome) {
+	c.s.met.cellsRequeued.Add(int64(out.requeued))
+	if out.wake {
+		c.wakeLocked()
+	}
+	if out.strike != "" {
+		c.strikeLocked(out.strike)
+	}
+}
+
+// handlePoll hands a worker up to Max cells from the first unfinished
+// sweep that has any for it (sweep.pick). When there is nothing to hand out
+// the poll is held for up to pollHold, answering as soon as new work
+// appears, so an idle worker learns of a sweep, a requeue or an audit
+// without sleeping between polls.
 func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req pollRequest
 	if err := c.s.decodeBody(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	max := req.Max
-	if max <= 0 {
-		max = 1
-	}
 	hold := time.NewTimer(pollHold)
 	defer hold.Stop()
-	var fj *fabricJob
-	var picked []pickedCell
+	var sw *sweep
+	var picked []cellAssignment
 	for {
 		c.mu.Lock()
 		ent := c.workers[req.Worker]
@@ -362,13 +216,16 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		}
 		ent.beat.Add(1)
 		now := time.Now()
-		for _, id := range c.jobOrder {
-			if picked = c.pickLocked(c.jobs[id], req.Worker, req.Lease, max, now); len(picked) > 0 {
-				fj = c.jobs[id]
+		for _, o := range c.open {
+			var stolen int
+			picked, stolen = o.pick(req.Worker, req.Lease, max(req.Max, 1), now, c.ring)
+			c.s.met.cellsStolen.Add(int64(stolen))
+			if len(picked) > 0 {
+				sw = o
 				break
 			}
 		}
-		if fj != nil {
+		if sw != nil {
 			break
 		}
 		kick := c.kick
@@ -382,33 +239,27 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, pollResponse{})
 		return
 	}
+	c.mu.Unlock()
 	resp := pollResponse{
-		SweepID: fj.j.ID,
-		Source:  fj.spec.Source,
-		In0:     fj.spec.In0,
-		In1:     fj.spec.In1,
-		Retries: fj.spec.Retries,
-		Timeout: fj.spec.Timeout,
+		SweepID: sw.id,
+		Source:  sw.spec.Source,
+		In0:     sw.spec.In0,
+		In1:     sw.spec.In1,
+		Retries: sw.spec.Retries,
+		Timeout: sw.spec.Timeout,
+		Cells:   picked,
 	}
 	if c.s.checkpointsArmed() {
 		resp.CheckpointEvery = c.s.cfg.CheckpointEvery
 	}
-	rec := assignRecord{Op: "assign", Worker: req.Worker}
-	for _, p := range picked {
-		resp.Cells = append(resp.Cells, cellAssignment{
-			Cell:    p.cell.id,
-			Bench:   p.cell.bench,
-			Config:  p.cell.spec,
-			Attempt: p.cell.attempt,
-			Audit:   p.audit,
-		})
-		rec.Cells = append(rec.Cells, assignCell{ID: p.cell.id, Attempt: p.cell.attempt})
-	}
-	c.mu.Unlock()
 	// Durable before visible: the assignment journal line lands (fsync'd)
 	// before the worker can possibly produce a result under it.
-	if fj.assignJournal != nil {
-		fj.assignJournal.Append(rec)
+	if sw.assignJournal != nil {
+		rec := assignRecord{Op: "assign", Worker: req.Worker}
+		for _, a := range picked {
+			rec.Cells = append(rec.Cells, assignCell{ID: a.Cell, Attempt: a.Attempt})
+		}
+		sw.assignJournal.Append(rec)
 	}
 	disk := c.s.cfg.disk()
 	// Attach shipped snapshots so a requeued cell resumes mid-run. Disk IO
@@ -428,12 +279,15 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleResult settles one cell. The journal append happens BEFORE the
-// in-memory settle and before the 200: a result the worker saw
-// acknowledged is durable, and a coordinator crash between the two
-// replays the journal to the same winner the live path would have picked.
-// Torn bodies (a connection cut mid-POST) fail JSON decoding and change
-// nothing; the worker retries the POST whole.
+// handleResult folds one delivery into its cell (sweep.deliver). A
+// delivery the sweep says to journal is appended — fsync'd, outside c.mu —
+// and folded (sweep.journaled) before the 200, so a result the worker saw
+// acknowledged is durable, and a coordinator crash replays the journal to
+// the winner the live path picked. A refused append answers 500 and
+// settles nothing, and the sweep hands the assignment out again; the
+// worker retries all the same. Torn bodies (a connection cut
+// mid-POST) fail JSON decoding and change nothing; the worker retries the
+// POST whole.
 func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
 	if err := c.s.decodeBody(w, r, &req); err != nil {
@@ -444,17 +298,21 @@ func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "exactly one of stats or err required"})
 		return
 	}
-	// Digest gate: recompute the content digest over the stats as decoded
-	// and compare against the one the worker computed at run time. A
-	// mismatch means the payload changed between the worker's engine and
-	// this handler — corruption in flight or at source — so the record is
-	// rejected before it can touch the journal, the producing assignment is
-	// dropped (requeueing the cell), and the sender takes a strike. An
-	// empty digest is a legacy/disarmed worker: trusted as before.
-	if req.Stats != nil && req.Digest != "" && exp.DigestStats(req.Stats) != req.Digest {
-		c.rejectCorrupt(&req)
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "integrity: result digest mismatch"})
-		return
+	d := delivery{result: result{worker: req.Worker, attempt: req.Attempt, stats: req.Stats}, err: req.Err, audit: req.Audit}
+	if req.Stats != nil {
+		// Digest gate: recompute the content digest over the stats as
+		// decoded and compare against the one the worker computed at run
+		// time. A mismatch means the payload changed between the worker's
+		// engine and this handler — corruption in flight or at source — so
+		// the record is rejected before it can touch the journal. An empty
+		// digest is a legacy/disarmed worker: trusted as before. The digest
+		// is the result's identity from here on.
+		d.digest = exp.DigestStats(req.Stats)
+		if req.Digest != "" && d.digest != req.Digest {
+			c.rejectCorrupt(&req)
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "integrity: result digest mismatch"})
+			return
+		}
 	}
 	c.mu.Lock()
 	// Results are accepted from any lease — even a superseded or
@@ -463,167 +321,73 @@ func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if ent := c.workers[req.Worker]; ent != nil && ent.lease == req.Lease {
 		ent.beat.Add(1)
 	}
-	fj := c.jobs[req.SweepID]
-	var cell *fabricCell
-	finished := false
-	if fj != nil {
-		cell = fj.cells[req.Cell]
-		finished = fj.finished
+	sw := c.sweeps[req.SweepID]
+	var cl *cell
+	if sw != nil {
+		cl = sw.cells[req.Cell]
 	}
-	c.mu.Unlock()
-	if cell == nil {
+	if cl == nil || sw.state == jobFailed {
+		c.mu.Unlock()
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown sweep or cell"})
 		return
 	}
-	if finished {
+	if sw.finished {
 		// The sweep settled while this delivery limped in — a straggler
-		// duplicate of work that already completed elsewhere. Determinism
-		// makes it byte-identical to the recorded winner; acknowledge it so
-		// the worker stops retrying, and drop it.
+		// duplicate of work that already completed elsewhere. Acknowledge it
+		// so the worker stops retrying, and drop it.
+		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "late": true})
 		return
 	}
-	if req.Audit {
-		// An audit re-execution is a verdict, not a settlement: it is never
-		// journaled (unless it wins a tie-break) and never changes doneN.
-		c.handleAuditResult(w, fj, cell, &req)
-		return
-	}
-	if req.Stats != nil {
-		if err := fj.appendCell(cell.key, req.Stats, req.Attempt); err != nil {
-			// An append can race the job finishing (the journal closes with
-			// it); that is the same late-straggler case, not a server error.
-			c.mu.Lock()
-			finished = fj.finished
+	before := sw.counts
+	out := sw.deliver(cl, d)
+	var jerr error
+	if out.journal {
+		// deliver changed nothing; the sweep cannot finish while the
+		// append is in flight.
+		if sw.cellJournal != nil {
 			c.mu.Unlock()
-			if finished {
-				writeJSON(w, http.StatusOK, map[string]any{"ok": true, "late": true})
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("journal: %v", err)})
-			return
+			jerr = sw.cellJournal.AppendCell(cl.key, d.stats, d.attempt)
+			c.mu.Lock()
 		}
+		before = sw.counts
+		out = sw.journaled(cl, d, jerr == nil)
 	}
-	c.mu.Lock()
-	c.settleLocked(fj, cell, &req)
-	finished = c.markFinishedLocked(fj)
+	c.s.met.countIntegrity(before, sw.counts)
+	if out.settled {
+		c.s.met.observeCell(req.Attempts, req.Stats != nil, time.Duration(req.ElapsedUS)*time.Microsecond)
+	}
+	c.applyLocked(out)
+	finished := c.finishLocked(sw)
 	c.mu.Unlock()
 	if finished {
-		c.finishJob(fj)
+		c.finishSweep(sw)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	switch {
+	case out.late:
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "late": true})
+	case jerr != nil:
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("journal: %v", jerr)})
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	}
 }
 
-// settleLocked folds one delivered result into the cell under the same
-// deterministic order the journal merge uses (exp.Supersedes), so
-// duplicate deliveries, late deliveries after a requeue settled the cell
-// elsewhere, and replayed journals all converge on the same winner.
-// Requires c.mu.
-func (c *coordinator) settleLocked(fj *fabricJob, cell *fabricCell, req *resultRequest) {
-	// Drop the assignment that produced this result (best effort: it may
-	// already be gone if the worker was declared dead first).
-	n := cell.assignees[:0]
-	for _, a := range cell.assignees {
-		if !(a.worker == req.Worker && a.attempt == req.Attempt) {
-			n = append(n, a)
-		}
+// rejectCorrupt handles a delivery that failed the digest gate: the
+// sender takes an integrity strike and, while its sweep runs, the sweep
+// drops the producing assignment (sweep.reject).
+func (c *coordinator) rejectCorrupt(req *resultRequest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := outcome{strike: req.Worker}
+	if sw := c.sweeps[req.SweepID]; sw != nil && !sw.finished {
+		before := sw.counts
+		out = sw.reject(req.Cell, req.Worker, req.Attempt)
+		c.s.met.countIntegrity(before, sw.counts)
+	} else {
+		c.s.met.integrityFailures.Add(1)
 	}
-	cell.assignees = n
-
-	if req.Stats != nil {
-		fp := exp.StatsFingerprint(req.Stats)
-		wasFailed := false
-		switch cell.state {
-		case cellDone:
-			if !exp.Supersedes(cell.winAttempt, cell.winFp, req.Attempt, fp) {
-				return
-			}
-		case cellFailed:
-			// A success beats a quarantined failure regardless of stamps —
-			// the failure was environmental (the deterministic simulator
-			// cannot both fail and succeed on the same cell).
-			fj.failedN--
-			cell.errText = ""
-			wasFailed = true
-		case cellPending:
-			fj.pendingN--
-		}
-		if cell.state != cellDone {
-			fj.doneN++
-			c.s.met.observeCell(req.Attempts, true, time.Duration(req.ElapsedUS)*time.Microsecond)
-		}
-		cell.state = cellDone
-		cell.winAttempt, cell.winFp = req.Attempt, fp
-		cell.winWorker = req.Worker
-		cell.winDigest = exp.DigestStats(req.Stats)
-		if wasFailed {
-			fj.syncFailedLocked()
-		}
-		fj.j.mu.Lock()
-		fj.j.results[keyString(cell.key)] = req.Stats
-		fj.j.digests[keyString(cell.key)] = cell.winDigest
-		fj.j.done = fj.doneN
-		fj.j.mu.Unlock()
-		c.maybeAuditLocked(fj, cell)
-		return
-	}
-	// Failure: settles the cell only if nothing better has. First failure
-	// wins among failures; a duplicate assignment may still land a success
-	// later and flip it above.
-	if cell.state == cellDone || cell.state == cellFailed {
-		return
-	}
-	if cell.state == cellPending {
-		fj.pendingN--
-	}
-	cell.state = cellFailed
-	cell.errText = req.Err
-	fj.failedN++
-	c.s.met.observeCell(req.Attempts, false, 0)
-	fj.syncFailedLocked()
-}
-
-// syncFailedLocked rebuilds the job's failed-cell list in grid order (the
-// deterministic order a status reader should see, independent of delivery
-// interleaving). Requires c.mu; takes j.mu.
-func (fj *fabricJob) syncFailedLocked() {
-	var failed []string
-	for _, cid := range fj.order {
-		if cell := fj.cells[cid]; cell.state == cellFailed {
-			failed = append(failed, cell.errText)
-		}
-	}
-	fj.j.mu.Lock()
-	fj.j.failed = failed
-	fj.j.mu.Unlock()
-}
-
-// syncIntegrityLocked mirrors the audit counters into the job so
-// /sweep/{id} renders them. Requires c.mu; takes j.mu.
-func (fj *fabricJob) syncIntegrityLocked() {
-	fj.j.mu.Lock()
-	fj.j.auditsRun = fj.auditsRun
-	fj.j.auditsDisagreed = fj.auditsDisagreed
-	fj.j.auditsResolved = fj.auditsResolved
-	fj.j.integrityFailures = fj.integrityFailuresN
-	fj.j.mu.Unlock()
-}
-
-// maybeAuditLocked samples a freshly settled cell for a re-execution audit
-// (DESIGN.md §17). The sample is a deterministic hash of (sweep, cell)
-// against the configured rate, so a replayed chaos schedule audits the
-// same cells every run. Only live settlements come through here — cells
-// restored from a journal replay were (by induction) already audited or
-// sampled out in their first life. Requires c.mu.
-func (c *coordinator) maybeAuditLocked(fj *fabricJob, cell *fabricCell) {
-	rate := c.s.cfg.AuditRate
-	if rate <= 0 || cell.audit != auditNone || !auditSampled(fj.j.ID, cell.id, rate) {
-		return
-	}
-	cell.audit = auditPending
-	cell.auditExcl = []string{cell.winWorker}
-	fj.auditsPending++
-	c.wakeLocked()
+	c.applyLocked(out)
 }
 
 // auditSampled deterministically maps (sweep, cell) to [0,1) and compares
@@ -637,225 +401,38 @@ func auditSampled(sweepID, cellID string, rate float64) bool {
 	return float64(h>>11)/float64(uint64(1)<<53) < rate
 }
 
-// handleAuditResult folds one audit re-execution into the cell's audit
-// state machine. First audit: digests agree → done; disagree → hold the
-// candidate and queue a tie-break on a third worker. Tie-break: whichever
-// of winner/candidate the third execution's bytes match loses its producer
-// a strike; matching the candidate additionally adopts the candidate bytes
-// as the cell's winner (journaled under the higher attempt, so a replay
-// supersedes the corrupt record deterministically).
-func (c *coordinator) handleAuditResult(w http.ResponseWriter, fj *fabricJob, cell *fabricCell, req *resultRequest) {
-	c.mu.Lock()
-	if (cell.audit != auditInflight && cell.audit != tiebreakInflight) ||
-		cell.auditAttempt != req.Attempt || cell.auditWorker != req.Worker {
-		// The audit moved on without this delivery — requeued after the
-		// auditor was presumed dead, or already resolved. Ack and drop.
-		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "late": true})
-		return
-	}
-	if req.Err != "" {
-		// Environmental failure (timeout, bad image cache, ...), not an
-		// integrity verdict: revert to pending for another worker.
-		cell.audit--
-		c.wakeLocked()
-		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-		return
-	}
-	dg := exp.DigestStats(req.Stats)
-	if cell.audit == auditInflight {
-		fj.auditsRun++
-		c.s.met.auditsRun.Add(1)
-		if dg == cell.winDigest {
-			// Independent re-execution reproduced the winner byte for byte.
-			cell.audit = auditDone
-			fj.auditsPending--
-			fj.syncIntegrityLocked()
-			c.finishIfSettledLocked(w, fj)
-			return
-		}
-		// Disagreement: neither side is trustworthy yet. Hold the
-		// candidate and have a third worker — anti-affine to both — break
-		// the tie.
-		fj.auditsDisagreed++
-		fj.integrityFailuresN++
-		c.s.met.auditsDisagreed.Add(1)
-		c.s.met.integrityFailures.Add(1)
-		cell.candWorker, cell.candFp, cell.candDigest, cell.candStats = req.Worker, exp.StatsFingerprint(req.Stats), dg, req.Stats
-		cell.audit = tiebreakPending
-		cell.auditExcl = []string{cell.winWorker, req.Worker}
-		fj.syncIntegrityLocked()
-		c.wakeLocked()
-		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-		return
-	}
-	// Tie-break verdict.
-	switch dg {
-	case cell.winDigest:
-		// The winner stands; the disagreeing auditor produced the bad bytes.
-		loser := cell.candWorker
-		cell.candWorker, cell.candFp, cell.candDigest, cell.candStats = "", 0, "", nil
-		cell.audit = auditDone
-		fj.auditsPending--
-		fj.auditsResolved++
-		c.strikeLocked(loser)
-		fj.syncIntegrityLocked()
-		c.finishIfSettledLocked(w, fj)
-		return
-	case cell.candDigest:
-		// Two independent executions agree against the recorded winner: the
-		// original result was corrupt. Adopt the candidate bytes — journal
-		// first (outside c.mu), under the tie-break's attempt ordinal so the
-		// replay merge supersedes the corrupt record.
-		adopt := *req
-		c.mu.Unlock()
-		if err := fj.appendCell(cell.key, adopt.Stats, adopt.Attempt); err != nil {
-			// The journal refused the adopted record; leave the audit
-			// in flight and make the worker redeliver. auditsPending > 0
-			// keeps the sweep (and its journal) open meanwhile.
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("journal: %v", err)})
-			return
-		}
-		c.mu.Lock()
-		if cell.audit != tiebreakInflight || cell.auditAttempt != adopt.Attempt || cell.auditWorker != adopt.Worker {
-			// The audit moved on while we journaled. The appended record is
-			// digest-verified candidate bytes, so at worst the re-run
-			// tie-break adopts them again; nothing to undo.
-			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]any{"ok": true, "late": true})
-			return
-		}
-		loser := cell.winWorker
-		cell.winAttempt, cell.winFp = adopt.Attempt, exp.StatsFingerprint(adopt.Stats)
-		cell.winWorker, cell.winDigest = adopt.Worker, dg
-		cell.candWorker, cell.candFp, cell.candDigest, cell.candStats = "", 0, "", nil
-		cell.audit = auditDone
-		fj.auditsPending--
-		fj.auditsResolved++
-		fj.j.mu.Lock()
-		fj.j.results[keyString(cell.key)] = adopt.Stats
-		fj.j.digests[keyString(cell.key)] = dg
-		fj.j.mu.Unlock()
-		c.strikeLocked(loser)
-		fj.syncIntegrityLocked()
-		c.finishIfSettledLocked(w, fj)
-		return
-	default:
-		// Matches neither: two independent corruptions in play. Exclude
-		// this worker too and re-run the tie-break; no strike, because the
-		// evidence does not say who is lying yet.
-		cell.auditExcl = append(cell.auditExcl, req.Worker)
-		cell.audit = tiebreakPending
-		c.wakeLocked()
-		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-		return
-	}
-}
-
-// finishIfSettledLocked is the audit paths' common epilogue: check the
-// finish condition, release c.mu, finish the job if this verdict was the
-// last thing holding it open, and ack the delivery. Takes ownership of
-// c.mu (locked on entry, released on return).
-func (c *coordinator) finishIfSettledLocked(w http.ResponseWriter, fj *fabricJob) {
-	finished := c.markFinishedLocked(fj)
-	c.mu.Unlock()
-	if finished {
-		c.finishJob(fj)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-}
-
-// rejectCorrupt handles a delivery whose body failed the digest gate: the
-// bytes changed between the worker's engine and this coordinator. The
-// record never touches a journal; the producing assignment is dropped
-// (requeueing the cell when that leaves it unclaimed, or reverting the
-// audit to pending), and the sender takes an integrity strike.
-func (c *coordinator) rejectCorrupt(req *resultRequest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.met.integrityFailures.Add(1)
-	if fj := c.jobs[req.SweepID]; fj != nil && !fj.finished {
-		fj.integrityFailuresN++
-		if cell := fj.cells[req.Cell]; cell != nil {
-			if req.Audit {
-				if (cell.audit == auditInflight || cell.audit == tiebreakInflight) &&
-					cell.auditAttempt == req.Attempt && cell.auditWorker == req.Worker {
-					cell.audit--
-					c.wakeLocked()
-				}
-			} else {
-				c.dropProducerLocked(fj, cell, req.Worker, req.Attempt)
-			}
-		}
-		fj.syncIntegrityLocked()
-	}
-	c.strikeLocked(req.Worker)
-}
-
-// dropProducerLocked removes the assignment that produced a rejected
-// delivery, requeueing the cell if no other assignee is racing it.
-// Requires c.mu.
-func (c *coordinator) dropProducerLocked(fj *fabricJob, cell *fabricCell, worker string, attempt int) {
-	n := cell.assignees[:0]
-	for _, a := range cell.assignees {
-		if !(a.worker == worker && a.attempt == attempt) {
-			n = append(n, a)
-		}
-	}
-	cell.assignees = n
-	if cell.state == cellInflight && len(cell.assignees) == 0 {
-		cell.state = cellPending
-		fj.pendingN++
-		c.s.met.cellsRequeued.Add(1)
-		c.wakeLocked()
-	}
-}
-
-// finishJob settles a sweep whose cells have all settled: its shipped
+// finishSweep settles a sweep whose cells have all settled: its shipped
 // snapshots — resume hints nobody needs any more — are removed, it is
 // journaled as settled in the request journal, its journals are closed,
 // it is counted, and only then does its status read done (quarantined
 // failures included), so a reader that sees done sees it settled on disk
 // and in jobs_done.
-func (c *coordinator) finishJob(fj *fabricJob) {
+func (c *coordinator) finishSweep(sw *sweep) {
 	if c.s.checkpointsArmed() { // workers ship only at an armed cadence
-		for _, cid := range fj.order {
-			snapshot.Remove(c.s.cfg.disk(), filepath.Join(c.snapDir, cid+".snap"))
+		for _, id := range sw.order {
+			snapshot.Remove(c.s.cfg.disk(), filepath.Join(c.snapDir, id+".snap"))
 		}
 	}
-	fj.j.mu.Lock()
-	failedCount := len(fj.j.failed)
-	fj.j.mu.Unlock()
-	c.s.appendRequest(journalRecord{Op: "done", ID: fj.j.ID, OK: failedCount == 0})
-	fj.closeJournals()
+	c.mu.Lock()
+	ok := sw.failedN == 0
+	c.mu.Unlock()
+	c.s.appendRequest(journalRecord{Op: "done", ID: sw.id, OK: ok})
+	closeJournals(sw)
 	c.s.met.jobsDone.Add(1)
-	fj.j.mu.Lock()
-	fj.j.state = jobDone
-	fj.j.done = fj.doneN
-	fj.j.mu.Unlock()
+	c.mu.Lock()
+	sw.state = jobDone
+	c.mu.Unlock()
 }
 
-// closeJournals closes both journals. An append racing the finish then
-// fails instead of reopening a journal for a settled sweep.
-func (fj *fabricJob) closeJournals() {
-	if fj.cellJournal != nil {
-		fj.cellJournal.Close()
+// closeJournals closes both of sw's journals. An append racing the finish
+// then fails instead of reopening a journal for a settled sweep.
+func closeJournals(sw *sweep) {
+	if sw.cellJournal != nil {
+		sw.cellJournal.Close()
 	}
-	if fj.assignJournal != nil {
-		fj.assignJournal.Close()
+	if sw.assignJournal != nil {
+		sw.assignJournal.Close()
 	}
-}
-
-// appendCell journals one result. Returns nil when no journal is
-// configured.
-func (fj *fabricJob) appendCell(k exp.Key, s *stats.Run, attempt int) error {
-	if fj.cellJournal == nil {
-		return nil
-	}
-	return fj.cellJournal.AppendCell(k, s, attempt)
 }
 
 // cellIDPattern guards the snapshot PUT path segment: exp.CellID is 16 hex
@@ -907,22 +484,18 @@ func (c *coordinator) handleSnapshotPut(w http.ResponseWriter, r *http.Request) 
 }
 
 // shutdown stops the liveness watchdog and closes the journals of
-// unfinished jobs, marking them interrupted; their accept records and
+// unfinished sweeps, marking them interrupted; their accept records and
 // shipped snapshots stand, so the next boot rebuilds them from the
 // journals and the still-running workers' late results settle in.
 func (c *coordinator) shutdown() {
 	c.wd.shutdown()
 	c.mu.Lock()
-	var open []*fabricJob
-	for _, id := range c.jobOrder {
-		open = append(open, c.jobs[id])
+	open := slices.Clone(c.open)
+	for _, sw := range open {
+		sw.state, sw.errText = jobInterrupted, "interrupted by drain; resumes on restart"
 	}
 	c.mu.Unlock()
-	for _, fj := range open {
-		fj.j.mu.Lock()
-		fj.j.state = jobInterrupted
-		fj.j.errText = "interrupted by drain; resumes on restart"
-		fj.j.mu.Unlock()
-		fj.closeJournals()
+	for _, sw := range open {
+		closeJournals(sw)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // simply looks dead and has its cells requeued. Every message that matters
 // is idempotent or deduplicated: registration supersedes atomically
 // (registry.go), results merge under the journal's deterministic
-// (attempt, fingerprint) order (exp/journal.go), and shipped snapshots are
+// (attempt, digest) order (exp/journal.go), and shipped snapshots are
 // validated before they touch disk (snapshot/ship.go). See DESIGN.md §15.
 //
 // This file is the wire vocabulary; the coordinator half lives in
-// coordinator.go/registry.go/stealing.go and the worker half in worker.go.
+// coordinator.go/registry.go/sweep.go and the worker half in worker.go.
 
 // registerRequest is POST /fabric/register: a worker announcing itself
 // under a stable identity. Re-registering the same identity supersedes the
@@ -67,10 +67,6 @@ type pollResponse struct {
 	// configuration.
 	CheckpointEvery int64            `json:"checkpoint_every,omitempty"`
 	Cells           []cellAssignment `json:"cells,omitempty"`
-	// WaitMS is a backoff hint for an empty answer. This coordinator holds
-	// empty polls instead and sends none; workers still honour a hint from
-	// a coordinator that sends one.
-	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // cellAssignment is one grid cell handed to a worker.

@@ -258,13 +258,26 @@ type protocolFixture struct {
 
 func newProtocolFixture(t *testing.T, worker string) *protocolFixture {
 	t.Helper()
+	return newProtocolFixtureWith(t, worker, Config{})
+}
+
+// newProtocolFixtureWith is newProtocolFixture on a coordinator built from
+// cfg. A zero JournalDir gets a temp dir, and zero liveness and steal
+// timers get an hour, so neither plays a part unless the test sets it.
+func newProtocolFixtureWith(t *testing.T, worker string, cfg Config) *protocolFixture {
+	t.Helper()
 	spec := fabricSpec(tinySrc, 1) // 2 cells: mem A, mem B
-	s, ts := newTestServer(t, Config{
-		Coordinator:     true,
-		JournalDir:      t.TempDir(),
-		WorkerDeadAfter: time.Hour, // liveness plays no part here
-		StealAfter:      time.Hour,
-	})
+	cfg.Coordinator = true
+	if cfg.JournalDir == "" {
+		cfg.JournalDir = t.TempDir()
+	}
+	if cfg.WorkerDeadAfter == 0 {
+		cfg.WorkerDeadAfter = time.Hour
+	}
+	if cfg.StealAfter == 0 {
+		cfg.StealAfter = time.Hour
+	}
+	s, ts := newTestServer(t, cfg)
 	resp, m := postJSON(t, ts.URL+"/sweep", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep = %d: %v", resp.StatusCode, m)
@@ -339,6 +352,54 @@ func (f *protocolFixture) resultBody(t *testing.T, worker string, cell cellAssig
 	return b
 }
 
+// deliveryBody builds the JSON for one result delivery carrying raw stats
+// and the digest the sender claims for them ("" sends none).
+func (f *protocolFixture) deliveryBody(t *testing.T, worker string, cell cellAssignment, attempt int, raw json.RawMessage, digest string, audit bool) []byte {
+	t.Helper()
+	b, err := json.Marshal(map[string]any{
+		"worker": worker, "lease": f.lease, "sweep_id": f.id, "cell": cell.Cell,
+		"attempt": attempt, "stats": raw, "digest": digest, "audit": audit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// trueBody is cell's true result with its honest digest, as any worker
+// delivers it.
+func (f *protocolFixture) trueBody(t *testing.T, worker string, cell cellAssignment, attempt int, audit bool) []byte {
+	t.Helper()
+	return f.deliveryBody(t, worker, cell, attempt, f.stats[cell.Cell], digestOf(t, f.stats[cell.Cell]), audit)
+}
+
+// lieBody is a lying worker's result for cell: the true stats with one more
+// cycle, under a digest that matches the lie, so only a second execution
+// can tell.
+func (f *protocolFixture) lieBody(t *testing.T, worker string, cell cellAssignment, attempt int, audit bool) []byte {
+	t.Helper()
+	var st stats.Run
+	if err := json.Unmarshal(f.stats[cell.Cell], &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Cycles++
+	raw, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.deliveryBody(t, worker, cell, attempt, raw, digestOf(t, raw), audit)
+}
+
+// digestOf is exp.DigestStats over marshaled stats.
+func digestOf(t *testing.T, raw json.RawMessage) string {
+	t.Helper()
+	var st stats.Run
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	return exp.DigestStats(&st)
+}
+
 func (f *protocolFixture) post(t *testing.T, body []byte) int {
 	t.Helper()
 	resp, err := http.Post(f.ts.URL+"/fabric/result", "application/json", bytes.NewReader(body))
@@ -410,7 +471,7 @@ func TestFabricDuplicateDelivery(t *testing.T) {
 
 // TestFabricLateDeliveryAfterRequeue: a worker is superseded, its cells
 // requeue and complete under a second worker, and THEN the first worker's
-// results limp in — including a corrupted one. The (attempt, fingerprint)
+// results limp in — including a corrupted one. The (attempt, digest)
 // merge keeps the later assignment's records and the final results stay
 // byte-identical to the control.
 func TestFabricLateDeliveryAfterRequeue(t *testing.T) {
@@ -463,7 +524,7 @@ func TestFabricLateDeliveryAfterRequeue(t *testing.T) {
 		t.Errorf("results after late deliveries differ from control\ngot:     %s\ncontrol: %s", got, control)
 	}
 	// And the journal replays to the same verdict a restart would need.
-	merged, err := exp.MergeJournals(chaos.OS{}, f.s.cellJournalPath(f.id))
+	merged, err := exp.MergeJournals(chaos.OS{}, nil, f.s.cellJournalPath(f.id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +532,7 @@ func TestFabricLateDeliveryAfterRequeue(t *testing.T) {
 		cfg, _ := c.Config.Config()
 		key := exp.KeyOf(sourceName(tinySrc, "fabric input\n", ""), cfg)
 		want := f.stats[c.Cell]
-		got, err := json.Marshal(merged[key])
+		got, err := json.Marshal(merged[key].Stats)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"fgpsim/internal/bench"
@@ -111,57 +110,18 @@ func (s *SweepSpec) validate() error {
 	return nil
 }
 
-// cells is the sweep's grid size.
-func (s *SweepSpec) cells() int {
-	progs := len(s.Benches)
-	if progs == 0 {
-		progs = 1
-	}
-	return progs * len(s.Configs)
-}
-
-// Job states. A job is terminal in done/failed; "failed" means the sweep
-// could not start at all (its journals would not open), while failed cells
-// leave it "done" with a failed list. "interrupted" means a drain stopped
-// it mid-flight and the journal will resume it next boot.
+// Sweep states. A sweep is terminal in done/failed; "failed" means the
+// sweep could not start at all (its journals would not open), while failed
+// cells leave it "done" with a failed list. "interrupted" means a drain
+// stopped it mid-flight and the journal will resume it next boot.
 const (
-	jobQueued      = "queued"
 	jobRunning     = "running"
 	jobDone        = "done"
 	jobFailed      = "failed"
 	jobInterrupted = "interrupted"
 )
 
-// job is one accepted sweep.
-type job struct {
-	ID   string
-	Spec SweepSpec
-
-	mu      sync.Mutex
-	state   string
-	done    int
-	total   int
-	failed  []string
-	errText string
-	results map[string]*stats.Run
-	// digests maps the same keys as results to each winner's content digest
-	// (exp.DigestStats), so a status reader can verify the served bytes
-	// end-to-end.
-	digests map[string]string
-	// Integrity observability: audit verdicts and rejected corrupt
-	// deliveries, mirrored from the coordinator's fabricJob.
-	auditsRun         int
-	auditsDisagreed   int
-	auditsResolved    int
-	integrityFailures int
-}
-
-func newJob(id string, spec SweepSpec) *job {
-	return &job{ID: id, Spec: spec, state: jobQueued, total: spec.cells(),
-		results: make(map[string]*stats.Run), digests: make(map[string]string)}
-}
-
-// jobStatus is the JSON shape of GET /sweep/{id}.
+// jobStatus is the JSON shape of GET /sweep/{id} (sweep.status).
 type jobStatus struct {
 	ID      string                `json:"id"`
 	State   string                `json:"state"`
@@ -179,22 +139,6 @@ type jobStatus struct {
 	AuditsDisagreed   int `json:"audits_disagreed,omitempty"`
 	AuditsResolved    int `json:"audits_resolved,omitempty"`
 	IntegrityFailures int `json:"integrity_failures,omitempty"`
-}
-
-func (j *job) status(withResults bool) jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := jobStatus{ID: j.ID, State: j.state, Done: j.done, Total: j.total,
-		Failed: append([]string(nil), j.failed...), Error: j.errText,
-		AuditsRun: j.auditsRun, AuditsDisagreed: j.auditsDisagreed,
-		AuditsResolved: j.auditsResolved, IntegrityFailures: j.integrityFailures}
-	if withResults && (j.state == jobDone || j.state == jobFailed) {
-		st.Results = j.results
-		if len(j.digests) > 0 {
-			st.Digests = j.digests
-		}
-	}
-	return st
 }
 
 // KeyString is keyString for external harnesses: the chaos orchestrator
@@ -258,10 +202,10 @@ func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, error) {
 			if rec.Spec == nil {
 				return fmt.Errorf("accept without spec")
 			}
-			if rec.SpecHash != "" && rec.SpecHash != specHash(rec.Spec) {
+			if rec.SpecHash != specHash(rec.Spec) {
 				// The record parses but its spec does not match the hash it
-				// was accepted with: resuming it would run the wrong sweep
-				// under the accepted ID. Skip it loudly.
+				// was accepted with (or it lost the hash): resuming it would
+				// run the wrong sweep under the accepted ID. Skip it loudly.
 				fmt.Fprintf(os.Stderr, "server: request journal: skipping job %s: spec hash mismatch (corrupt record)\n", rec.ID)
 				return nil
 			}

@@ -72,6 +72,14 @@ func (m *metrics) observeCell(attempts int, ok bool, d time.Duration) {
 	}
 }
 
+// countIntegrity adds the audit and rejection counts a sweep transition
+// moved from before to after.
+func (m *metrics) countIntegrity(before, after integrity) {
+	m.auditsRun.Add(int64(after.auditsRun - before.auditsRun))
+	m.auditsDisagreed.Add(int64(after.auditsDisagreed - before.auditsDisagreed))
+	m.integrityFailures.Add(int64(after.failures - before.failures))
+}
+
 // snapshot renders every metric; queueDepth, inflight, workersLive and
 // watchdogKills are sampled from the server's parts.
 func (m *metrics) snapshot(queueDepth int64, inflight, workersLive int, watchdogKills int64) map[string]any {

@@ -129,40 +129,17 @@ func (c *coordinator) markDead(id string, lease uint64) {
 }
 
 // dropAssignmentsLocked removes every assignment held by (worker, lease)
-// across all unfinished jobs; cells left with no live assignee go back to
-// pending, to be re-assigned — snapshot attached, if one was shipped — by
-// the next poll, which held polls are woken to make. An audit in flight on
-// the departing worker reverts to its pending state so another worker
-// re-runs it (a forgotten audit would hold the sweep's finish condition
-// open forever). Requires c.mu.
+// across all unfinished sweeps (sweep.dropLease); cells left with no live
+// assignee go back to pending, to be re-assigned — snapshot attached, if
+// one was shipped — by the next poll, which held polls are woken to make.
+// Audits in flight on the departing worker wait for another worker (a
+// forgotten audit would hold its sweep open forever). Requires c.mu.
 func (c *coordinator) dropAssignmentsLocked(worker string, lease uint64) {
 	requeued := 0
-	for _, id := range c.jobOrder {
-		fj := c.jobs[id]
-		for _, cid := range fj.order {
-			cell := fj.cells[cid]
-			n := cell.assignees[:0]
-			for _, a := range cell.assignees {
-				if !(a.worker == worker && a.lease == lease) {
-					n = append(n, a)
-				}
-			}
-			cell.assignees = n
-			if cell.state == cellInflight && len(cell.assignees) == 0 {
-				cell.state = cellPending
-				fj.pendingN++
-				requeued++
-			}
-			if (cell.audit == auditInflight || cell.audit == tiebreakInflight) &&
-				cell.auditWorker == worker && cell.auditLease == lease {
-				cell.audit--
-			}
-		}
+	for _, sw := range c.open {
+		requeued += sw.dropLease(worker, lease)
 	}
-	if requeued > 0 {
-		c.s.met.cellsRequeued.Add(int64(requeued))
-	}
-	c.wakeLocked()
+	c.applyLocked(outcome{requeued: requeued, wake: true})
 }
 
 // strikeLocked charges one integrity strike against a worker's current

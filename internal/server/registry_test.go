@@ -94,10 +94,9 @@ func TestRegistrySupersedeConcurrent(t *testing.T) {
 	if ent == nil {
 		t.Fatal("churner fell out of the registry")
 	}
-	for _, id := range c.jobOrder {
-		fj := c.jobs[id]
-		for _, cid := range fj.order {
-			for _, a := range fj.cells[cid].assignees {
+	for _, sw := range c.open {
+		for _, cid := range sw.order {
+			for _, a := range sw.cells[cid].assignees {
 				if a.worker == "churner" && a.lease != ent.lease {
 					t.Errorf("cell %s still assigned to superseded lease %d (current %d)", cid, a.lease, ent.lease)
 				}

@@ -191,7 +191,6 @@ type Server struct {
 	scrubStop chan struct{}
 
 	mu        sync.Mutex
-	jobs      map[string]*job
 	seq       int64
 	recovered []journalRecord
 }
@@ -209,7 +208,6 @@ func New(cfg Config) (*Server, error) {
 		wd:    newWatchdog(cfg.WatchdogInterval, cfg.WatchdogStall),
 		met:   &metrics{},
 		prep:  newPrepCache(),
-		jobs:  make(map[string]*job),
 	}
 	s.baseCtx, s.baseStop = context.WithCancelCause(context.Background())
 	dir := cfg.JournalDir
@@ -299,29 +297,14 @@ func (s *Server) Start() {
 		}()
 	}
 	for _, rec := range s.recovered {
-		j := newJob(rec.ID, *rec.Spec)
-		s.addJob(j)
 		s.met.jobsResumed.Add(1)
-		// Rebuild the job from its cell and assignment journals: completed
+		// Rebuild the sweep from its cell and assignment journals: completed
 		// cells are restored, unfinished ones requeue, and the attempt
 		// high-water mark keeps merging deterministic against late results
 		// from workers that never noticed the crash.
-		s.startSweep(j, true)
+		s.coord.start(rec.ID, *rec.Spec)
 	}
 	s.recovered = nil
-}
-
-// startSweep hands an accepted sweep to the coordinator, failing the job
-// if its journals cannot be opened.
-func (s *Server) startSweep(j *job, recovered bool) error {
-	err := s.coord.start(j, recovered)
-	if err != nil {
-		j.mu.Lock()
-		j.state = jobFailed
-		j.errText = err.Error()
-		j.mu.Unlock()
-	}
-	return err
 }
 
 // Drain gracefully shuts the server down: stop admitting (readyz flips to
@@ -595,33 +578,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("journal: %v", err)})
 		return
 	}
-	j := newJob(id, spec)
-	s.addJob(j)
 	s.met.jobsAccepted.Add(1)
-	if err := s.startSweep(j, false); err != nil {
+	cells, err := s.coord.start(id, spec)
+	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "cells": spec.cells()})
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "cells": cells})
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.getJob(r.PathValue("id"))
-	if j == nil {
+	st, ok := s.coord.status(r.PathValue("id"))
+	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown sweep id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-func (s *Server) addJob(j *job) {
-	s.mu.Lock()
-	s.jobs[j.ID] = j
-	s.mu.Unlock()
-}
-
-func (s *Server) getJob(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	writeJSON(w, http.StatusOK, st)
 }

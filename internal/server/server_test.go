@@ -273,6 +273,28 @@ func TestSweepLifecycle(t *testing.T) {
 	}
 }
 
+// TestSweepRepeatedConfigCountsOnce: a configuration repeated in a spec is
+// one cell, in the accept response and the status alike, and the sweep
+// finishes.
+func TestSweepRepeatedConfigCountsOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cfg := ConfigSpec{Disc: "dyn4", Issue: 4, Mem: "A", Branch: "single"}
+	resp, m := postJSON(t, ts.URL+"/sweep", SweepSpec{Source: tinySrc, In0: "sweep input\n", Configs: []ConfigSpec{cfg, cfg}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/sweep = %d: %v", resp.StatusCode, m)
+	}
+	if cells, _ := m["cells"].(float64); cells != 1 {
+		t.Errorf("cells = %v, want 1", m["cells"])
+	}
+	st := waitDone(t, ts, m["id"].(string), 60*time.Second)
+	if total, _ := st["total"].(float64); total != 1 {
+		t.Errorf("total = %v, want 1", st["total"])
+	}
+	if results, _ := st["results"].(map[string]any); len(results) != 1 {
+		t.Errorf("results = %v, want 1 entry", st["results"])
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -446,12 +468,9 @@ func TestDrainInterruptsSweep(t *testing.T) {
 		t.Fatalf("/sweep = %d: %v", resp.StatusCode, m)
 	}
 	id := m["id"].(string)
-	// Wait until the sweep is actually running, then force-drain with an
+	// Wait until a cell is actually running, then force-drain with an
 	// already-expired context so in-flight work is cancelled immediately.
-	waitFor2(t, 60*time.Second, func() bool {
-		_, st := getJSON(t, ts.URL+"/sweep/"+id)
-		return st["state"] != jobQueued
-	})
+	waitFor2(t, 60*time.Second, func() bool { return s.admit.lim.inUse() == 1 })
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.Drain(expired); err != nil {
@@ -503,9 +522,10 @@ func TestDrainInterruptsSweep(t *testing.T) {
 }
 
 // TestPendingJobsSpecHashGuard covers both paths of the request-journal
-// self-hash: intact records (hashed or legacy unhashed) are recovered,
-// while a record whose spec no longer matches its accepted hash — in-place
-// corruption that still parses as JSON — is skipped.
+// self-hash: intact records are recovered, while a record whose spec no
+// longer matches its accepted hash — in-place corruption that still parses
+// as JSON — is skipped, and so is one that lost its hash (every writer has
+// stamped one since the guard landed).
 func TestPendingJobsSpecHashGuard(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "requests.journal")
@@ -519,7 +539,7 @@ func TestPendingJobsSpecHashGuard(t *testing.T) {
 	}
 	records := []journalRecord{
 		{Op: "accept", ID: "good", Spec: &good, SpecHash: specHash(&good)},
-		{Op: "accept", ID: "legacy", Spec: &legacy}, // pre-hash record: trusted
+		{Op: "accept", ID: "legacy", Spec: &legacy}, // no hash: corrupt
 		{Op: "accept", ID: "bad", Spec: &tampered, SpecHash: specHash(&good)},
 	}
 	for _, rec := range records {
@@ -539,8 +559,8 @@ func TestPendingJobsSpecHashGuard(t *testing.T) {
 	for i, rec := range pend {
 		ids[i] = rec.ID
 	}
-	if len(pend) != 2 || ids[0] != "good" || ids[1] != "legacy" {
-		t.Fatalf("pendingJobs = %v, want [good legacy]", ids)
+	if len(pend) != 1 || ids[0] != "good" {
+		t.Fatalf("pendingJobs = %v, want [good]", ids)
 	}
 	if pend[0].Spec.Source != good.Source {
 		t.Errorf("recovered spec lost its source")
@@ -579,7 +599,7 @@ func appendAccept(t *testing.T, journalPath, id string, spec *SweepSpec) {
 		t.Fatal(err)
 	}
 	defer jw.Close()
-	if err := jw.Append(journalRecord{Op: "accept", ID: id, Spec: spec}); err != nil {
+	if err := jw.Append(journalRecord{Op: "accept", ID: id, Spec: spec, SpecHash: specHash(spec)}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -232,14 +232,8 @@ poll:
 			}
 			continue
 		}
-		if len(resp.Cells) == 0 {
-			// The coordinator held the poll and found nothing; poll again at
-			// once unless it asked for a backoff.
-			if resp.WaitMS > 0 && !sleepCtx(ctx, time.Duration(resp.WaitMS)*time.Millisecond) {
-				break poll
-			}
-			continue
-		}
+		// An empty answer means the coordinator held the poll and found
+		// nothing: poll again at once.
 		for _, cell := range resp.Cells {
 			w.busy.Add(1)
 			cellWG.Add(1)
@@ -643,18 +637,12 @@ func (w *Worker) deregister() {
 // re-register and retry once with the fresh lease.
 func (w *Worker) doJSON(ctx context.Context, method, path string, body, out any) error {
 	var status int
-	err := w.doJSONStatus(ctx, method, path, body, out, &status)
-	return err
-}
-
-func (w *Worker) doJSONStatus(ctx context.Context, method, path string, body, out any, status *int) error {
-	err := w.rawJSON(ctx, method, path, body, out, status)
-	if err != nil && *status == http.StatusGone {
+	err := w.rawJSON(ctx, method, path, body, out, &status)
+	if err != nil && status == http.StatusGone {
 		if rerr := w.register(ctx); rerr != nil {
 			return rerr
 		}
-		body = w.restamp(body)
-		return w.rawJSON(ctx, method, path, body, out, status)
+		return w.rawJSON(ctx, method, path, w.restamp(body), out, &status)
 	}
 	return err
 }

@@ -28,12 +28,6 @@ func LoadShippable(disk chaos.Disk, path string) ([]byte, uint64, error) {
 	return Encode(s), s.Fingerprint, nil
 }
 
-// Receive validates wire bytes as a complete snapshot, returning a typed
-// *CorruptError for anything damaged in transit.
-func Receive(data []byte) (*Snapshot, error) {
-	return Decode(data)
-}
-
 // Store validates wire bytes and, only if they decode cleanly, persists
 // them atomically at path (WriteFile's temp+fsync+rename+rotate dance).
 // It returns the validated snapshot's fingerprint so the caller can index

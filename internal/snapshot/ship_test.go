@@ -97,7 +97,7 @@ func TestLoadShippableFallsBackToPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Receive(shipped)
+	got, err := Decode(shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
