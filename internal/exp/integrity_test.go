@@ -36,7 +36,7 @@ func TestJournalSingleByteCorruptionRejected(t *testing.T) {
 	}
 	k1, k2, k3 := journalKey("n1"), journalKey("n2"), journalKey("n3")
 	for i, k := range []Key{k1, k2, k3} {
-		if err := j.AppendCell(k, runWithCycles(int64(11*(i+1))), 1); err != nil {
+		if err := j.AppendCell(k, runWithCycles(int64(11*(i+1))), 1, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestScrubJournalDetectsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range []Key{journalKey("s1"), journalKey("s2")} {
-		if err := j.AppendCell(k, runWithCycles(int64(i+1)), 1); err != nil {
+		if err := j.AppendCell(k, runWithCycles(int64(i+1)), 1, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -249,9 +249,17 @@ type journalEntry struct {
 	Key   Key        `json:"key"`
 	Stats *stats.Run `json:"stats"`
 	// Attempt is the assignment ordinal under which the cell ran: the
-	// fabric coordinator increments it on every requeue, steal and audit, so
-	// a higher attempt is by construction the later decision.
+	// fabric coordinator increments it on every requeue, steal and audit,
+	// and a sweep it resumes after a restart starts above every attempt an
+	// earlier boot handed out (its crash epoch), so a higher attempt is by
+	// construction the later decision.
 	Attempt int `json:"attempt,omitempty"`
+	// Worker is the fabric worker that produced the result, so a restarted
+	// coordinator knows whom to exclude from, and strike after, a tie-break
+	// over a replayed winner. Plain sweeps and records of the previous
+	// format carry none. It precedes Digest, which must stay the last field
+	// (rawEntryDigest).
+	Worker string `json:"worker,omitempty"`
 	// Digest is the record's content digest (entryDigest: CRC32-C + length
 	// over the record with this field cleared), verified on every read; a
 	// mismatch rejects the record. Records of the previous format also
@@ -268,11 +276,12 @@ func (j *Journal) appendResult(e journalEntry) error {
 	return j.Append(e)
 }
 
-// AppendCell journals one completed cell under an explicit attempt ordinal,
-// stamped with a content digest. This is the multi-writer append used by
-// the fabric coordinator; plain sweeps append at attempt 0.
-func (j *Journal) AppendCell(k Key, s *stats.Run, attempt int) error {
-	return j.appendResult(journalEntry{Key: k, Stats: s, Attempt: attempt})
+// AppendCell journals one completed cell under an explicit attempt ordinal
+// and the worker that produced it, stamped with a content digest. This is
+// the multi-writer append used by the fabric coordinator; plain sweeps
+// append at attempt 0 with no worker.
+func (j *Journal) AppendCell(k Key, s *stats.Run, attempt int, worker string) error {
+	return j.appendResult(journalEntry{Key: k, Stats: s, Attempt: attempt, Worker: worker})
 }
 
 // journalSpec is a journal's identity record: the hex form of the sweep's
@@ -394,12 +403,14 @@ func Supersedes(curAttempt int, curDigest string, newAttempt int, newDigest stri
 	return newDigest >= curDigest
 }
 
-// CellRecord is one merged journal winner with its merge stamp: the
-// attempt and the content digest (DigestStats) of its stats.
+// CellRecord is one merged journal winner with its merge stamp — the
+// attempt and the content digest (DigestStats) of its stats — and its
+// producing worker ("" when the record names none).
 type CellRecord struct {
 	Stats   *stats.Run
 	Attempt int
 	Digest  string
+	Worker  string
 }
 
 // MergeJournals reads cell journals — a plain sweep's resume journal, the
@@ -423,7 +434,7 @@ func MergeJournals(disk chaos.Disk, onReject func(*IntegrityError), paths ...str
 			}
 			d := DigestStats(e.Stats)
 			if cur, ok := m[e.Key]; !ok || Supersedes(cur.Attempt, cur.Digest, e.Attempt, d) {
-				m[e.Key] = CellRecord{Stats: e.Stats, Attempt: e.Attempt, Digest: d}
+				m[e.Key] = CellRecord{Stats: e.Stats, Attempt: e.Attempt, Digest: d, Worker: e.Worker}
 			}
 		})
 		if err != nil {

@@ -39,7 +39,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		}
 		k1, k2, k3 := journalKey("a"), journalKey("b"), journalKey("c")
 		for i, k := range []Key{k1, k2, k3} {
-			if err := j.AppendCell(k, runWithCycles(int64(10*(i+1))), 1); err != nil {
+			if err := j.AppendCell(k, runWithCycles(int64(10*(i+1))), 1, ""); err != nil {
 				t.Fatalf("append %d: %v", i+1, err)
 			}
 		}
@@ -79,11 +79,11 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		k1 := journalKey("a")
-		if err := j.AppendCell(k1, runWithCycles(10), 1); err != nil {
+		if err := j.AppendCell(k1, runWithCycles(10), 1, ""); err != nil {
 			t.Fatalf("append 1 (clean sync): %v", err)
 		}
 		var poisoned *PoisonedJournalError
-		err = j.AppendCell(journalKey("b"), runWithCycles(20), 1)
+		err = j.AppendCell(journalKey("b"), runWithCycles(20), 1, "")
 		if !errors.As(err, &poisoned) {
 			t.Fatalf("append 2 = %v; want *PoisonedJournalError", err)
 		}
@@ -103,7 +103,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		late := make([]Key, 3)
 		for i := range late {
 			late[i] = journalKey(fmt.Sprintf("late-%d", i))
-			if err := j.AppendCell(late[i], runWithCycles(1), 1); !errors.As(err, &poisoned) {
+			if err := j.AppendCell(late[i], runWithCycles(1), 1, ""); !errors.As(err, &poisoned) {
 				t.Fatalf("append after poison = %v; want *PoisonedJournalError", err)
 			}
 		}
@@ -140,7 +140,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					if err := j.AppendCell(journalKey(fmt.Sprintf("w%d-%d", w, i)), runWithCycles(int64(i)), 1); err != nil {
+					if err := j.AppendCell(journalKey(fmt.Sprintf("w%d-%d", w, i)), runWithCycles(int64(i)), 1, ""); err != nil {
 						t.Error(err)
 					}
 				}
@@ -165,7 +165,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.AppendCell(journalKey("a"), runWithCycles(10), 1); err != nil {
+		if err := j.AppendCell(journalKey("a"), runWithCycles(10), 1, ""); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
@@ -175,7 +175,7 @@ func TestJournalPoisonedByFsyncFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.AppendCell(journalKey("b"), runWithCycles(20), 1); !errors.Is(err, os.ErrClosed) {
+		if err := j.AppendCell(journalKey("b"), runWithCycles(20), 1, ""); !errors.Is(err, os.ErrClosed) {
 			t.Fatalf("append after Close = %v; want os.ErrClosed", err)
 		}
 		got, err := os.ReadFile(path)
@@ -201,16 +201,16 @@ func TestJournalTornWriteDoesNotGlueNextAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	k1, k2, k3 := journalKey("a"), journalKey("b"), journalKey("c")
-	if err := j.AppendCell(k1, runWithCycles(10), 1); err != nil {
+	if err := j.AppendCell(k1, runWithCycles(10), 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	var inj *chaos.InjectedError
-	if err := j.AppendCell(k2, runWithCycles(20), 1); !errors.As(err, &inj) || inj.Kind != chaos.TornWrite {
+	if err := j.AppendCell(k2, runWithCycles(20), 1, ""); !errors.As(err, &inj) || inj.Kind != chaos.TornWrite {
 		t.Fatalf("append 2 = %v; want injected torn-write", err)
 	}
 	// The caller saw the append fail, so k2 is legitimately absent. What
 	// must NOT happen is k3 — which the caller saw succeed — vanishing too.
-	if err := j.AppendCell(k3, runWithCycles(30), 1); err != nil {
+	if err := j.AppendCell(k3, runWithCycles(30), 1, ""); err != nil {
 		t.Fatalf("append 3: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -263,7 +263,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AppendCell(k1, runWithCycles(10), 1); err != nil {
+	if err := a.AppendCell(k1, runWithCycles(10), 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	tear(`{"key":{"bench":"b","disc":`) // writer B dies mid-write
@@ -274,23 +274,23 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AppendCell(k3, runWithCycles(30), 1); err != nil {
+	if err := c.AppendCell(k3, runWithCycles(30), 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Interleaved stamped duplicates for k2: C's attempt-1 record and A's
 	// attempt-2 record (a steal re-ran the cell). File order is C-then-A
 	// here, but the attempt ordinal, not file order, must decide.
-	if err := c.AppendCell(k2, runWithCycles(20), 1); err != nil {
+	if err := c.AppendCell(k2, runWithCycles(20), 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AppendCell(k2, runWithCycles(22), 2); err != nil {
+	if err := a.AppendCell(k2, runWithCycles(22), 2, ""); err != nil {
 		t.Fatal(err)
 	}
 
 	tear(`{"key":{"bench":"a","di`) // writer D dies mid-write
 	// C, already open and unaware of D's fragment, appends k1@3. This line
 	// glues onto the fragment and is lost — the documented one-line bound.
-	if err := c.AppendCell(k1, runWithCycles(13), 3); err != nil {
+	if err := c.AppendCell(k1, runWithCycles(13), 3, ""); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
@@ -302,7 +302,7 @@ func TestJournalMultiWriterInterleavedTornTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AppendCell(k1, runWithCycles(14), 4); err != nil {
+	if err := e.AppendCell(k1, runWithCycles(14), 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()

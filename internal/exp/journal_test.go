@@ -338,12 +338,12 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 		return path
 	}
 	pa := writeCells("worker-a.cells", func(j *Journal) {
-		j.AppendCell(kA, runWithCycles(1), 1)
-		j.AppendCell(kShared, runWithCycles(50), 1)
+		j.AppendCell(kA, runWithCycles(1), 1, "")
+		j.AppendCell(kShared, runWithCycles(50), 1, "")
 	})
 	pb := writeCells("worker-b.cells", func(j *Journal) {
-		j.AppendCell(kB, runWithCycles(2), 1)
-		j.AppendCell(kShared, runWithCycles(60), 2) // the requeued re-run
+		j.AppendCell(kB, runWithCycles(2), 1, "")
+		j.AppendCell(kShared, runWithCycles(60), 2, "") // the requeued re-run
 	})
 
 	for name, paths := range map[string][]string{
@@ -367,7 +367,8 @@ func TestMergeJournalsAcrossFiles(t *testing.T) {
 }
 
 // TestAppendCellReadRoundtrip checks the stamped append is readable by the
-// plain resume path (MergeJournals) like any other record.
+// plain resume path (MergeJournals) like any other record, and merges back
+// with its attempt and producing worker.
 func TestAppendCellReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.journal")
 	j, err := OpenJournal(chaos.OS{}, path)
@@ -375,7 +376,7 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := journalKey("stamped")
-	if err := j.AppendCell(k, runWithCycles(7), 4); err != nil {
+	if err := j.AppendCell(k, runWithCycles(7), 4, "w7"); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -387,6 +388,13 @@ func TestAppendCellReadRoundtrip(t *testing.T) {
 	}
 	if len(m) != 1 || m[k].Cycles != 7 {
 		t.Fatalf("stamped record not restored: %+v", m)
+	}
+	recs, err := MergeJournals(chaos.OS{}, nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := recs[k]; r.Attempt != 4 || r.Worker != "w7" {
+		t.Fatalf("merged record attempt %d worker %q, want 4 and w7", r.Attempt, r.Worker)
 	}
 }
 
@@ -426,7 +434,7 @@ func TestJournalParentRecordMerges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.AppendCell(k, runWithCycles(9), tc.attempt); err != nil {
+		if err := j.AppendCell(k, runWithCycles(9), tc.attempt, ""); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,9 +19,10 @@ import (
 // every sweep runs through it. It owns the worker registry (registry.go),
 // the consistent-hash ring over image-cache keys that shards cells to
 // workers, and every accepted sweep (sweep.go). One mutex guards all of
-// it; the fsync'd journals (cell results, assignments) are appended outside
-// the lock, in whatever order the handlers race — the deterministic
-// (attempt, digest) merge order makes file order immaterial.
+// it; the fsync'd cell journals are appended outside the lock, in whatever
+// order the handlers race — the deterministic (attempt, digest) merge
+// order makes file order immaterial. Assignments are not journaled: a
+// resumed sweep's attempts start at its boot's crash epoch (epochBase).
 type coordinator struct {
 	s       *Server
 	wd      *watchdog // worker-liveness watchdog (beats = authenticated requests)
@@ -96,16 +96,18 @@ func (c *coordinator) routes(mux *http.ServeMux) {
 }
 
 // start takes ownership of an accepted sweep: enumerate its cells, replay
-// any prior cell and assignment journals (a coordinator crash or drain
-// left the sweep unfinished; a fresh sweep's journals replay to nothing),
-// and queue the rest for the workers. It returns the sweep's cell count. A
-// sweep whose journals will not open is kept, in state failed.
-func (c *coordinator) start(id string, spec SweepSpec) (cells int, err error) {
+// any prior cell journal (a coordinator crash or drain left the sweep
+// unfinished; a fresh sweep's journal replays to nothing), and queue the
+// rest for the workers, handing out attempts above base — 0 for a sweep
+// accepted now, the boot's epochBase for a resumed one. It returns the
+// sweep's cell count. A sweep whose journal will not open is kept, in
+// state failed.
+func (c *coordinator) start(id string, spec SweepSpec, base int) (cells int, err error) {
 	sw, err := newSweep(id, spec, c.s.cfg.AuditRate, c.s.cfg.StealAfter)
 	if err != nil {
 		return 0, err
 	}
-	if err = c.replayJournals(sw); err != nil {
+	if err = c.replayJournal(sw, base); err != nil {
 		sw.state, sw.errText = jobFailed, err.Error()
 	}
 	c.mu.Lock()
@@ -128,17 +130,19 @@ func (c *coordinator) start(id string, spec SweepSpec) (cells int, err error) {
 	return len(sw.order), nil
 }
 
-// replayJournals replays sw's journals into it and opens them for
-// appending. The cell journal is read under strict digest verification: a
-// bitrotted or torn record is rejected (counted, logged) and its cell
-// simply requeues — corruption on disk never becomes a served result.
-func (c *coordinator) replayJournals(sw *sweep) error {
+// replayJournal replays sw's cell journal into it, with attempts starting
+// at base, and opens the journal for appending. The journal is read under
+// strict digest verification: a bitrotted or torn record is rejected
+// (counted, logged) and its cell simply requeues — corruption on disk
+// never becomes a served result. A sweep directory of the previous format
+// also holds a sweep-<id>.assign journal; it is ignored, since every
+// attempt it records lies below the epoch base.
+func (c *coordinator) replayJournal(sw *sweep, base int) error {
 	if c.s.cfg.JournalDir == "" {
-		return nil
+		return nil // nothing resumes without a journal: base is 0
 	}
 	disk := c.s.cfg.disk()
 	cellPath := c.s.cellJournalPath(sw.id)
-	assignPath := filepath.Join(c.s.cfg.JournalDir, "sweep-"+sw.id+".assign")
 	winners, err := exp.MergeJournals(disk, func(ie *exp.IntegrityError) {
 		c.s.met.integrityFailures.Add(1)
 		fmt.Fprintf(os.Stderr, "server: fabric journal: %v\n", ie)
@@ -146,24 +150,9 @@ func (c *coordinator) replayJournals(sw *sweep) error {
 	if err != nil {
 		return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
 	}
-	marks := make(map[string]int)
-	exp.ReplayJournal(disk, assignPath, func(line []byte) error {
-		var rec assignRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		for _, a := range rec.Cells {
-			marks[a.ID] = max(marks[a.ID], a.Attempt)
-		}
-		return nil
-	})
-	c.s.met.cellsRestored.Add(int64(sw.replay(winners, marks)))
+	c.s.met.cellsRestored.Add(int64(sw.replay(winners, base)))
 	if sw.cellJournal, err = exp.OpenJournal(disk, cellPath); err != nil {
 		return fmt.Errorf("server: fabric journal %s: %w", cellPath, err)
-	}
-	if sw.assignJournal, err = exp.OpenJournal(disk, assignPath); err != nil {
-		sw.cellJournal.Close()
-		return fmt.Errorf("server: assignment journal %s: %w", assignPath, err)
 	}
 	return nil
 }
@@ -249,30 +238,19 @@ func (c *coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		Timeout: sw.spec.Timeout,
 		Cells:   picked,
 	}
-	if c.s.checkpointsArmed() {
+	if c.s.checkpointsArmed() { // workers ship only at an armed cadence
 		resp.CheckpointEvery = c.s.cfg.CheckpointEvery
-	}
-	// Durable before visible: the assignment journal line lands (fsync'd)
-	// before the worker can possibly produce a result under it.
-	if sw.assignJournal != nil {
-		rec := assignRecord{Op: "assign", Worker: req.Worker}
-		for _, a := range picked {
-			rec.Cells = append(rec.Cells, assignCell{ID: a.Cell, Attempt: a.Attempt})
-		}
-		sw.assignJournal.Append(rec)
-	}
-	disk := c.s.cfg.disk()
-	// Attach shipped snapshots so a requeued cell resumes mid-run. Disk IO
-	// deliberately happens outside the coordinator lock. Audits never get a
-	// snapshot: re-execution must be independent of the bytes it audits.
-	for i := range resp.Cells {
-		if resp.Cells[i].Audit {
-			continue
-		}
-		path := filepath.Join(c.snapDir, resp.Cells[i].Cell+".snap")
-		if snapshot.Exists(disk, path) {
-			if data, _, err := snapshot.LoadShippable(disk, path); err == nil {
-				resp.Cells[i].Snapshot = data
+		// Attach shipped snapshots so a requeued cell resumes mid-run. Disk
+		// IO deliberately happens outside the coordinator lock. Audits never
+		// get a snapshot: re-execution must be independent of the bytes it
+		// audits.
+		disk := c.s.cfg.disk()
+		for i := range resp.Cells {
+			path := filepath.Join(c.snapDir, resp.Cells[i].Cell+".snap")
+			if !resp.Cells[i].Audit && snapshot.Exists(disk, path) {
+				if data, _, err := snapshot.LoadShippable(disk, path); err == nil {
+					resp.Cells[i].Snapshot = data
+				}
 			}
 		}
 	}
@@ -347,7 +325,7 @@ func (c *coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// append is in flight.
 		if sw.cellJournal != nil {
 			c.mu.Unlock()
-			jerr = sw.cellJournal.AppendCell(cl.key, d.stats, d.attempt)
+			jerr = sw.cellJournal.AppendCell(cl.key, d.stats, d.attempt, d.worker)
 			c.mu.Lock()
 		}
 		before = sw.counts
@@ -403,7 +381,7 @@ func auditSampled(sweepID, cellID string, rate float64) bool {
 
 // finishSweep settles a sweep whose cells have all settled: its shipped
 // snapshots — resume hints nobody needs any more — are removed, it is
-// journaled as settled in the request journal, its journals are closed,
+// journaled as settled in the request journal, its cell journal is closed,
 // it is counted, and only then does its status read done (quarantined
 // failures included), so a reader that sees done sees it settled on disk
 // and in jobs_done.
@@ -417,21 +395,18 @@ func (c *coordinator) finishSweep(sw *sweep) {
 	ok := sw.failedN == 0
 	c.mu.Unlock()
 	c.s.appendRequest(journalRecord{Op: "done", ID: sw.id, OK: ok})
-	closeJournals(sw)
+	closeJournal(sw)
 	c.s.met.jobsDone.Add(1)
 	c.mu.Lock()
 	sw.state = jobDone
 	c.mu.Unlock()
 }
 
-// closeJournals closes both of sw's journals. An append racing the finish
-// then fails instead of reopening a journal for a settled sweep.
-func closeJournals(sw *sweep) {
+// closeJournal closes sw's cell journal. An append racing the finish then
+// fails instead of reopening a journal for a settled sweep.
+func closeJournal(sw *sweep) {
 	if sw.cellJournal != nil {
 		sw.cellJournal.Close()
-	}
-	if sw.assignJournal != nil {
-		sw.assignJournal.Close()
 	}
 }
 
@@ -483,7 +458,7 @@ func (c *coordinator) handleSnapshotPut(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// shutdown stops the liveness watchdog and closes the journals of
+// shutdown stops the liveness watchdog and closes the cell journals of
 // unfinished sweeps, marking them interrupted; their accept records and
 // shipped snapshots stand, so the next boot rebuilds them from the
 // journals and the still-running workers' late results settle in.
@@ -496,6 +471,6 @@ func (c *coordinator) shutdown() {
 	}
 	c.mu.Unlock()
 	for _, sw := range open {
-		closeJournals(sw)
+		closeJournal(sw)
 	}
 }

@@ -119,20 +119,3 @@ type resultRequest struct {
 	Attempts  int   `json:"attempts,omitempty"`
 	ElapsedUS int64 `json:"elapsed_us,omitempty"`
 }
-
-// assignRecord is one line of the coordinator's fsync'd assignment
-// journal: the batch of cells handed out in one poll response, with their
-// attempt ordinals. On a coordinator crash-and-restart the replay restores
-// each cell's attempt high-water mark, so post-restart assignments keep
-// superseding pre-restart ones and late results from workers that never
-// noticed the crash still merge in the right order.
-type assignRecord struct {
-	Op     string       `json:"op"` // "assign"
-	Worker string       `json:"worker"`
-	Cells  []assignCell `json:"cells"`
-}
-
-type assignCell struct {
-	ID      string `json:"id"`
-	Attempt int    `json:"attempt"`
-}

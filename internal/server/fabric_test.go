@@ -596,20 +596,10 @@ func TestFabricWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// slowResults is an HTTP transport that delays every result delivery.
-type slowResults struct{ delay time.Duration }
-
-func (s slowResults) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/fabric/result" {
-		time.Sleep(s.delay)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
 // TestFabricCoordinatorRestart: drain the coordinator mid-sweep, boot a
 // fresh one over the same journal dir, and finish. Completed cells are
 // restored from the cell journal (not re-run), attempts keep ascending
-// thanks to the assignment journal, and the merge matches the control.
+// thanks to the new boot's crash epoch, and the merge matches the control.
 func TestFabricCoordinatorRestart(t *testing.T) {
 	spec := fabricSpec(tinySrc, 3)
 	control := referenceResults(t, spec, 0)
@@ -631,7 +621,7 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	// the drain below to land mid-sweep: a worker polls again the moment a
 	// result is acknowledged, so undelayed tiny cells finish in a few ms.
 	_, stopW1 := startTestWorker(t, ts1, "w1", WorkerOptions{SnapshotDir: t.TempDir(), Concurrency: 1,
-		Client: &http.Client{Transport: slowResults{50 * time.Millisecond}}})
+		Client: &http.Client{Transport: &pollTap{delay: 50 * time.Millisecond}}})
 	resp, m := postJSON(t, ts1.URL+"/sweep", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep = %d: %v", resp.StatusCode, m)
@@ -646,9 +636,7 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	stopW1() // graceful: parks, posts, deregisters
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	s1.Drain(drainCtx)
-	cancel()
+	drain(t, s1)
 	ts1.Close()
 
 	s2, ts2 := newTestServer(t, cfg)

@@ -14,6 +14,7 @@ import (
 
 	"fgpsim/internal/chaos"
 	"fgpsim/internal/exp"
+	"fgpsim/internal/stats"
 )
 
 // TestAuditSampledDeterministic: the audit sampler is a pure function of
@@ -281,11 +282,12 @@ func TestDifferingDuplicateWithoutAudit(t *testing.T) {
 }
 
 // fullDisk is the real filesystem, except that while full is set every
-// write to a sweep's cell journal fails with nothing landed, as on a full
-// disk.
+// write to a file whose name ends in suffix fails with nothing landed, as
+// on a full disk.
 type fullDisk struct {
 	chaos.OS
-	full atomic.Bool
+	suffix string
+	full   atomic.Bool
 }
 
 func (d *fullDisk) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
@@ -293,7 +295,7 @@ func (d *fullDisk) OpenFile(name string, flag int, perm os.FileMode) (chaos.File
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasSuffix(name, ".cells") {
+	if !strings.HasSuffix(name, d.suffix) {
 		return f, nil
 	}
 	return &fullFile{File: f, d: d}, nil
@@ -316,7 +318,7 @@ func (f *fullFile) Write(p []byte) (int, error) {
 // Its worker dies without redelivering; another worker runs the cell, the
 // sweep finishes on the true bytes, and each cell counts once.
 func TestRefusedAppendRequeues(t *testing.T) {
-	disk := &fullDisk{}
+	disk := &fullDisk{suffix: ".cells"}
 	f := newProtocolFixtureWith(t, "A", Config{Disk: disk})
 	x, y := f.cells[0], f.cells[1]
 	leaseA := f.lease
@@ -352,7 +354,7 @@ func TestRefusedAppendRequeues(t *testing.T) {
 // without redelivering, and another worker's tie-break adopts the true
 // bytes.
 func TestRefusedAdoptionReopensTieBreak(t *testing.T) {
-	disk := &fullDisk{}
+	disk := &fullDisk{suffix: ".cells"}
 	f, x, y, bx := straggleFixture(t, Config{Disk: disk})
 	if code := f.post(t, f.lieBody(t, "B", bx, bx.Attempt, false)); code != http.StatusOK {
 		t.Fatalf("B's lie = %d", code)
@@ -384,4 +386,60 @@ func TestRefusedAdoptionReopensTieBreak(t *testing.T) {
 		t.Fatalf("D's tie-break = %d", code)
 	}
 	f.checkResolved(t, f.checkTrueServed(t))
+}
+
+// TestReplayedLieKeepsItsProducer: B's lie settles x before a coordinator
+// restart, and replay restores it with its producer. After the restart A's
+// honest straggler duplicate disagrees with it, so a tie-break opens, and
+// it must go to a third worker: B — now a Worker whose Mangle adds one
+// cycle to every result, the same lie again — is excluded and never runs
+// it, and C's tie-break adopts the true bytes and strikes B.
+func TestReplayedLieKeepsItsProducer(t *testing.T) {
+	dir := t.TempDir()
+	f, x, y, bx := straggleFixture(t, Config{JournalDir: dir})
+	if code := f.post(t, f.lieBody(t, "B", bx, bx.Attempt, false)); code != http.StatusOK {
+		t.Fatalf("B's lie = %d", code)
+	}
+	f.ts.Close()
+	drain(t, f.s)
+
+	f.s, f.ts = newTestServer(t, Config{Coordinator: true, JournalDir: dir,
+		WorkerDeadAfter: time.Hour, StealAfter: time.Hour, QuarantineStrikes: 1})
+	f.register(t, "C")
+	cy := f.poll(t, "C", 1)
+	if len(cy) != 1 || cy[0].Cell != y.Cell || cy[0].Audit {
+		t.Fatalf("C's poll = %+v, want y", cy)
+	}
+	if code := f.post(t, f.trueBody(t, "A", x, x.Attempt, false)); code != http.StatusOK {
+		t.Fatalf("A's late x = %d", code)
+	}
+	tap := &pollTap{}
+	startTestWorker(t, f.ts, "B", WorkerOptions{SnapshotDir: t.TempDir(), Concurrency: 1,
+		Client: &http.Client{Transport: tap},
+		Mangle: func(_ string, s *stats.Run) *stats.Run { s.Cycles++; return s }})
+	neverAudits := func() {
+		t.Helper()
+		for _, a := range tap.assignments() {
+			if a.Audit {
+				t.Fatalf("the liar B was handed %+v", a.cellAssignment)
+			}
+		}
+	}
+	waitFor2(t, 10*time.Second, func() bool { return tap.polled() > 0 })
+	neverAudits()
+	tie := f.poll(t, "C", 16)
+	if len(tie) != 1 || tie[0].Cell != x.Cell || !tie[0].Audit {
+		t.Fatalf("C's poll = %+v, want x's tie-break", tie)
+	}
+	if code := f.post(t, f.trueBody(t, "C", tie[0], tie[0].Attempt, true)); code != http.StatusOK {
+		t.Fatalf("C's tie-break = %d", code)
+	}
+	if code := f.post(t, f.trueBody(t, "C", cy[0], cy[0].Attempt, false)); code != http.StatusOK {
+		t.Fatalf("C's y = %d", code)
+	}
+	f.checkResolved(t, f.checkTrueServed(t))
+	neverAudits()
+	if n := f.s.met.workersQuarantined.Value(); n != 1 {
+		t.Errorf("workers_quarantined = %d, want 1 (B struck by the tie-break)", n)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"fgpsim/internal/bench"
@@ -165,15 +166,31 @@ func keyString(k exp.Key) string {
 // self-hash of the spec's canonical JSON, so a resume can tell an intact
 // record from one whose spec bytes were mangled in place (a torn line is
 // caught by JSON decoding; this catches corruption that still parses);
-// "done" marks the job settled so a restart does not re-run it.
+// "done" marks the job settled so a restart does not re-run it; "epoch"
+// is the crash epoch of a boot that resumed sweeps (epochBase).
 type journalRecord struct {
-	Op       string     `json:"op"` // "accept" | "done"
-	ID       string     `json:"id"`
+	Op       string     `json:"op"` // "accept" | "done" | "epoch"
+	ID       string     `json:"id,omitempty"`
 	Spec     *SweepSpec `json:"spec,omitempty"`
 	SpecHash string     `json:"spec_hash,omitempty"`
 	OK       bool       `json:"ok,omitempty"`
 	Err      string     `json:"err,omitempty"`
+	Epoch    int        `json:"epoch,omitempty"`
 }
+
+// A boot that resumes sweeps first writes its crash epoch, one above every
+// epoch in the request journal, and each sweep it resumes hands out
+// attempts from epochBase(epoch) up. Every attempt an earlier boot handed
+// out — journaled or not — lies below that base, because each boot's
+// attempts start at its own base (0 for a sweep accepted fresh) and no
+// cell takes 2^32 assignments in one boot. So late results from workers
+// that never noticed the restart merge below post-restart ones, without a
+// journal write per assignment.
+func epochBase(epoch int) int { return epoch << 32 }
+
+// Attempts are ints holding epoch<<32: a build whose int has 32 bits fails
+// here instead of wrapping the shift.
+const _ uint = strconv.IntSize - 64
 
 // specHash is the self-hash guarding an accept record: sha256 over the
 // spec's canonical (encoding/json) serialization, truncated for brevity.
@@ -188,10 +205,12 @@ func specHash(spec *SweepSpec) string {
 
 // pendingJobs replays a request journal and returns the accepted-but-not-
 // settled specs in acceptance order — the sweeps a crash or drain left
-// unfinished. Torn or malformed lines are skipped (exp.ReplayJournal).
-func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, error) {
+// unfinished — and the largest crash epoch recorded (0 if none). Torn or
+// malformed lines are skipped (exp.ReplayJournal).
+func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, int, error) {
 	var order []string
 	specs := make(map[string]*SweepSpec)
+	epoch := 0
 	err := exp.ReplayJournal(disk, path, func(line []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -215,11 +234,13 @@ func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, error) {
 			specs[rec.ID] = rec.Spec
 		case "done":
 			delete(specs, rec.ID)
+		case "epoch":
+			epoch = max(epoch, rec.Epoch)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out []journalRecord
 	for _, id := range order {
@@ -227,7 +248,7 @@ func pendingJobs(disk chaos.Disk, path string) ([]journalRecord, error) {
 			out = append(out, journalRecord{Op: "accept", ID: id, Spec: spec})
 		}
 	}
-	return out, nil
+	return out, epoch, nil
 }
 
 // sourceName derives a stable benchmark name for an ad-hoc MiniC program,

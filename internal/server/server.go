@@ -7,9 +7,9 @@
 // (per-request deadlines propagated into core.RunContext), wedged engines
 // (a cycle-progress watchdog that kills runs whose heartbeat counter
 // stops, with a typed *StuckRunError), corrupt cells (the sweep harness's
-// panic quarantine and retries), process death (fsync'd JSON-lines
-// request, cell and assignment journals from which unfinished sweeps
-// resume on restart), and deploys (graceful drain on SIGTERM: stop
+// panic quarantine and retries), process death (fsync'd JSON-lines request
+// and cell journals from which unfinished sweeps resume on restart, under
+// a fresh crash epoch), and deploys (graceful drain on SIGTERM: stop
 // admitting, finish or journal in-flight work, exit 0). Every sweep runs
 // one way: through the coordinator (coordinator.go), cell by cell, on an
 // in-process worker or on remote ones. See DESIGN.md §11 and §15.
@@ -65,8 +65,8 @@ type Config struct {
 	WatchdogInterval time.Duration
 	WatchdogStall    time.Duration
 	// JournalDir, when non-empty, holds the fsync'd request journal, the
-	// per-sweep cell and assignment journals, and the snapshot directories;
-	// unfinished sweeps found there are resumed on Start. Empty disables
+	// per-sweep cell journals, and the snapshot directories; unfinished
+	// sweeps found there are resumed on Start. Empty disables
 	// persistence (drains then lose interrupted sweeps) and keeps shipped
 	// snapshots in a temp dir removed on Drain.
 	JournalDir string
@@ -193,13 +193,18 @@ type Server struct {
 	mu        sync.Mutex
 	seq       int64
 	recovered []journalRecord
+	// epoch is this boot's crash epoch, written to the request journal
+	// before any recovered sweep resumes; 0 when there is none to resume.
+	epoch int
 }
 
 // New builds a server — its coordinator and, unless Config.Coordinator is
 // set, its in-process worker — and, when persistence is configured,
 // replays the request journal to find sweeps a previous process accepted
-// but never settled. Call Start to begin background work (watchdogs, the
-// worker, resumed sweeps).
+// but never settled. If there are any, it durably records this boot's
+// crash epoch first, and fails if the record is refused: without it a
+// resumed sweep could reuse attempts an earlier boot handed out. Call
+// Start to begin background work (watchdogs, the worker, resumed sweeps).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -234,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.JournalDir != "" {
 		path := s.requestJournalPath()
-		recs, err := pendingJobs(cfg.disk(), path)
+		recs, epoch, err := pendingJobs(cfg.disk(), path)
 		if err != nil {
 			return nil, fmt.Errorf("server: request journal: %w", err)
 		}
@@ -242,6 +247,13 @@ func New(cfg Config) (*Server, error) {
 		s.reqJournal, err = exp.OpenJournal(cfg.disk(), path)
 		if err != nil {
 			return nil, fmt.Errorf("server: request journal: %w", err)
+		}
+		if len(recs) > 0 {
+			s.epoch = epoch + 1
+			if err := s.appendRequest(journalRecord{Op: "epoch", Epoch: s.epoch}); err != nil {
+				s.reqJournal.Close()
+				return nil, fmt.Errorf("server: request journal: crash epoch: %w", err)
+			}
 		}
 	}
 	return s, nil
@@ -298,11 +310,11 @@ func (s *Server) Start() {
 	}
 	for _, rec := range s.recovered {
 		s.met.jobsResumed.Add(1)
-		// Rebuild the sweep from its cell and assignment journals: completed
-		// cells are restored, unfinished ones requeue, and the attempt
-		// high-water mark keeps merging deterministic against late results
-		// from workers that never noticed the crash.
-		s.coord.start(rec.ID, *rec.Spec)
+		// Rebuild the sweep from its cell journal: completed cells are
+		// restored, unfinished ones requeue, and attempts start at this
+		// boot's epoch base, so merging stays deterministic against late
+		// results from workers that never noticed the crash.
+		s.coord.start(rec.ID, *rec.Spec, epochBase(s.epoch))
 	}
 	s.recovered = nil
 }
@@ -579,7 +591,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.jobsAccepted.Add(1)
-	cells, err := s.coord.start(id, spec)
+	cells, err := s.coord.start(id, spec, 0)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return

@@ -385,7 +385,7 @@ func TestSweepJournalResume(t *testing.T) {
 		cancel()
 	}
 
-	if pend, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
+	if pend, _, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
 		t.Fatalf("settled sweep still pending: %v, %v", pend, err)
 	}
 	copyFile(t, filepath.Join(dir, "sweep-"+firstID+".cells"), filepath.Join(dir, "sweep-crashed.cells"))
@@ -433,7 +433,7 @@ func TestSweepJournalResume(t *testing.T) {
 	}
 
 	// The resumed sweep settles the journal: a third boot recovers nothing.
-	if pend, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
+	if pend, _, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
 		t.Fatalf("resumed sweep left journal unsettled: %v, %v", pend, err)
 	}
 }
@@ -482,7 +482,7 @@ func TestDrainInterruptsSweep(t *testing.T) {
 	case jobInterrupted:
 		// The common case: the drain caught the sweep mid-flight. It must
 		// still be pending in the journal.
-		pend, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal"))
+		pend, _, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,13 +507,13 @@ func TestDrainInterruptsSweep(t *testing.T) {
 			resp, st := getJSON(t, ts2.URL+"/sweep/"+id)
 			return resp.StatusCode == http.StatusOK && st["state"] == jobDone
 		})
-		if pend, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
+		if pend, _, err := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); err != nil || len(pend) != 0 {
 			t.Fatalf("resumed sweep left journal unsettled: %v, %v", pend, err)
 		}
 	case jobDone:
 		// The sweep won the race and finished before the cancel landed;
 		// nothing to resume, the journal must be settled.
-		if pend, _ := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); len(pend) != 0 {
+		if pend, _, _ := pendingJobs(chaos.OS{}, filepath.Join(dir, "requests.journal")); len(pend) != 0 {
 			t.Fatalf("done sweep left journal unsettled: %+v", pend)
 		}
 	default:
@@ -551,7 +551,7 @@ func TestPendingJobsSpecHashGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pend, err := pendingJobs(chaos.OS{}, path)
+	pend, _, err := pendingJobs(chaos.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,12 +594,18 @@ func copyFile(t *testing.T, src, dst string) {
 
 func appendAccept(t *testing.T, journalPath, id string, spec *SweepSpec) {
 	t.Helper()
+	appendRecord(t, journalPath, journalRecord{Op: "accept", ID: id, Spec: spec, SpecHash: specHash(spec)})
+}
+
+// appendRecord appends one record to a request journal.
+func appendRecord(t *testing.T, journalPath string, rec journalRecord) {
+	t.Helper()
 	jw, err := exp.OpenJournal(chaos.OS{}, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jw.Close()
-	if err := jw.Append(journalRecord{Op: "accept", ID: id, Spec: spec, SpecHash: specHash(spec)}); err != nil {
+	if err := jw.Append(rec); err != nil {
 		t.Fatal(err)
 	}
 }

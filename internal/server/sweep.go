@@ -25,10 +25,10 @@ type sweep struct {
 	cells map[string]*cell
 	order []string // cell ids in grid order (prepared outer, configs inner)
 
-	// The journals are nil when persistence is off; exp.Journal repairs a
-	// failed fsync itself and refuses appends once the sweep closes them.
-	cellJournal   *exp.Journal // winning results, exp.AppendCell records
-	assignJournal *exp.Journal // assignRecord lines
+	// cellJournal holds winning results (exp.AppendCell records); nil when
+	// persistence is off. exp.Journal repairs a failed fsync itself and
+	// refuses appends once the sweep closes it.
+	cellJournal *exp.Journal
 
 	auditRate  float64
 	stealAfter time.Duration
@@ -77,13 +77,13 @@ type cell struct {
 	shard uint64 // exp.ShardKey — image-cache affinity on the ring
 
 	state     cellState
-	attempt   int // assignment high-water mark
+	attempt   int // the last attempt handed out (the epoch base, after replay)
 	assignees []assignee
 	errText   string // the failure of a failed cell
 
 	// win is a done cell's winner: of the results journaled for the cell,
-	// the greatest under exp.Supersedes, so replay picks it too. A cell
-	// restored by replay has no winning worker.
+	// the greatest under exp.Supersedes, so replay picks it too, producer
+	// and all (a record of the previous format names no producer).
 	win result
 
 	// cand is held against win while a tie-break is open. excl lists the
@@ -172,24 +172,25 @@ func newSweep(id string, spec SweepSpec, auditRate float64, stealAfter time.Dura
 	return sw, nil
 }
 
-// replay restores a fresh sweep from its journals: each cell's winner from
-// the cell journal's merged records, and each cell's attempt high-water
-// mark from the assignment journal (or its winner's attempt, if higher), so
-// post-restart assignments supersede pre-restart ones. It returns the
-// number of cells restored. A restored cell is never audited: audits are
-// in-memory, and a restart finishes on its journaled results, which is
-// safe because audits gate detection, never correctness.
-func (sw *sweep) replay(winners map[exp.Key]exp.CellRecord, marks map[string]int) int {
+// replay restores a fresh sweep from its cell journal's merged records —
+// each cell's winner and its producer — and starts every cell's attempts
+// at base, which a resumed sweep's crash epoch puts above every attempt an
+// earlier boot handed out, so post-restart assignments supersede
+// pre-restart ones. It returns the number of cells restored. A restored
+// cell is never audited: audits are in-memory, and a restart finishes on
+// its journaled results, which is safe because audits gate detection,
+// never correctness.
+func (sw *sweep) replay(winners map[exp.Key]exp.CellRecord, base int) int {
 	restored := 0
 	for _, id := range sw.order {
 		c := sw.cells[id]
-		c.attempt = max(c.attempt, marks[id])
+		c.attempt = base
 		rec, ok := winners[c.key]
 		if !ok {
 			continue
 		}
 		c.state = cellDone
-		c.win = result{attempt: rec.Attempt, digest: rec.Digest, stats: rec.Stats}
+		c.win = result{worker: rec.Worker, attempt: rec.Attempt, digest: rec.Digest, stats: rec.Stats}
 		c.attempt = max(c.attempt, rec.Attempt)
 		sw.pendingN--
 		sw.doneN++

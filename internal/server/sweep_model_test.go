@@ -19,9 +19,10 @@ import (
 // delivery the sweep says to journal waits for its append to land or be
 // refused, as a handler waits outside the lock, so other events interleave
 // with it. Crash events rebuild the sweep from exactly the records that
-// reached the journal. After the trace, honest workers alone must finish
-// the sweep. A failing trace is shrunk by dropping one event at a time,
-// the chaos reducer's idiom, and printed with its seed.
+// reached the journal, under the next crash epoch. After the trace, honest
+// workers alone must finish the sweep. A failing trace is shrunk by
+// dropping one event at a time, the chaos reducer's idiom, and printed
+// with its seed.
 
 // evKind is one kind of model event.
 type evKind uint8
@@ -137,12 +138,13 @@ type model struct {
 	sent    []sent
 	appends []sent                     // deliveries whose append is in flight
 	cells   map[exp.Key]exp.CellRecord // the cell journal, folded as it is read
-	marks   map[string]int             // the assignment journal's high-water marks
+	epoch   int                        // the coordinator's crash epoch, one per crash
 
-	// Since the last crash: the workers each cell's digests came from, the
-	// digests its non-audit runs delivered, the workers a verdict on it
-	// struck, and whether an excluded worker ran its audit (the relaxed
-	// anti-affinity of a fabric with no one else to ask).
+	// Since the last crash: the workers each cell's digests came from (the
+	// journaled winner's producer survives the crash), the digests its
+	// non-audit runs delivered, the workers a verdict on it struck, and
+	// whether an excluded worker ran its audit (the relaxed anti-affinity
+	// of a fabric with no one else to ask).
 	maxAttempt map[string]int // every attempt ever assigned, per cell
 	producers  map[string]map[string]map[string]bool
 	ran        map[string]map[string]bool
@@ -169,15 +171,21 @@ func (m *model) nextSweep() {
 	m.id = fmt.Sprintf("model-%d", m.seq)
 	m.sw, _ = newSweep(m.id, modelSpec(), m.auditRate, time.Millisecond)
 	m.running, m.sent, m.appends = nil, nil, nil
-	m.cells, m.marks, m.maxAttempt = map[exp.Key]exp.CellRecord{}, map[string]int{}, map[string]int{}
+	m.cells, m.maxAttempt = map[exp.Key]exp.CellRecord{}, map[string]int{}
 	m.forget()
 }
 
-// forget drops what the invariants remember of verdicts: a crash loses
-// them with the registry.
+// forget drops what the invariants remember of verdicts, as a crash loses
+// them with the registry, but keeps each journaled winner's producer,
+// which replay restores with the winner.
 func (m *model) forget() {
 	m.producers, m.ran = map[string]map[string]map[string]bool{}, map[string]map[string]bool{}
 	m.struck, m.relaxed = map[string]map[string]bool{}, map[string]bool{}
+	for _, id := range m.sw.order {
+		if rec, ok := m.cells[m.sw.cells[id].key]; ok {
+			m.producers[id] = map[string]map[string]bool{rec.Digest: {rec.Worker: true}}
+		}
+	}
 }
 
 // run applies a trace, checking the invariants after every event, and
@@ -304,7 +312,6 @@ func (m *model) apply(e event) (settled []string, err error) {
 				return nil, fmt.Errorf("cell %s assigned at attempt %d, not above earlier attempt %d", a.Cell, a.Attempt, m.maxAttempt[a.Cell])
 			}
 			m.maxAttempt[a.Cell] = a.Attempt
-			m.marks[a.Cell] = a.Attempt // journaled before the worker sees it
 			m.running = append(m.running, held{a.Cell, w, lease, a.Attempt, a.Audit})
 		}
 	case evHonest, evLie, evFail, evCorrupt:
@@ -410,7 +417,7 @@ func (m *model) fold(id string, d delivery, t func(*cell, delivery) outcome) (se
 func (m *model) journal(s sent) {
 	k, r := m.sw.cells[s.cell].key, s.d.result
 	if cur, seen := m.cells[k]; !seen || exp.Supersedes(cur.Attempt, cur.Digest, r.attempt, r.digest) {
-		m.cells[k] = exp.CellRecord{Stats: r.stats, Attempt: r.attempt, Digest: r.digest}
+		m.cells[k] = exp.CellRecord{Stats: r.stats, Attempt: r.attempt, Digest: r.digest, Worker: r.worker}
 	}
 }
 
@@ -436,13 +443,14 @@ func (m *model) leave(w string) {
 	m.sw.dropLease(w, lease)
 }
 
-// crash rebuilds the sweep from its journals, as a restarted coordinator
-// does, and checks that replay restored every cell's attempt high-water
-// mark (check then finds every journaled winner restored). Each append in
-// flight reached the journal or not, as bit i%8 of landed says; its worker
-// saw no acknowledgement. The registry, the strike ledgers and open
-// audits are in-memory and are lost; workers keep running what they hold
-// and must re-register.
+// crash rebuilds the sweep from its cell journal under the next crash
+// epoch, as a restarted coordinator does, and checks that every cell's
+// attempts resume at the epoch base, above every attempt handed out before
+// the crash, journaled or not (check then finds every journaled winner
+// restored, producer and all). Each append in flight reached the journal
+// or not, as bit i%8 of landed says; its worker saw no acknowledgement.
+// The registry, the strike ledgers and open audits are in-memory and are
+// lost; workers keep running what they hold and must re-register.
 func (m *model) crash(landed uint8) error {
 	for i, s := range m.appends {
 		if landed>>(i%8)&1 == 1 {
@@ -450,14 +458,17 @@ func (m *model) crash(landed uint8) error {
 		}
 	}
 	m.appends = nil
+	m.epoch++
+	base := epochBase(m.epoch)
 	m.sw, _ = newSweep(m.id, modelSpec(), m.auditRate, time.Millisecond)
-	m.sw.replay(m.cells, m.marks)
+	m.sw.replay(m.cells, base)
 	m.sw.finish() // every cell may have been journaled already
 	m.leases, m.ledger, m.ring = map[string]uint64{}, map[string]int{}, exp.NewRing()
 	m.forget()
 	for _, id := range m.sw.order {
-		if a := m.sw.cells[id].attempt; a != m.maxAttempt[id] {
-			return fmt.Errorf("crash: cell %s replayed to attempt %d, high-water mark %d", id, a, m.maxAttempt[id])
+		if a := m.sw.cells[id].attempt; a < base || a <= m.maxAttempt[id] {
+			return fmt.Errorf("crash: cell %s resumes at attempt %d, below epoch base %d or attempt %d handed out before the crash",
+				id, a, base, m.maxAttempt[id])
 		}
 	}
 	return nil
@@ -496,14 +507,14 @@ func (m *model) check(before map[string]cellView, settled []string) error {
 			}
 		}
 		// A cell is done exactly when the journal holds a result for it,
-		// and it serves the one replay picks.
+		// and it serves the one replay picks, from the same producer.
 		rec, journaled := m.cells[c.key]
 		if (c.state == cellDone) != journaled {
 			return fmt.Errorf("cell %s in state %d, journaled %v", id, c.state, journaled)
 		}
-		if journaled && (c.win.attempt != rec.Attempt || c.win.digest != rec.Digest) {
-			return fmt.Errorf("cell %s serves (%d, %s), its journal replays to (%d, %s)",
-				id, c.win.attempt, c.win.digest, rec.Attempt, rec.Digest)
+		if journaled && (c.win.attempt != rec.Attempt || c.win.digest != rec.Digest || c.win.worker != rec.Worker) {
+			return fmt.Errorf("cell %s serves (%d, %s) by %q, its journal replays to (%d, %s) by %q",
+				id, c.win.attempt, c.win.digest, c.win.worker, rec.Attempt, rec.Digest, rec.Worker)
 		}
 	}
 	if pending != sw.pendingN || done != sw.doneN || failed != sw.failedN || open != sw.auditsOpen || len(m.appends) != sw.appending {

@@ -23,6 +23,11 @@
 # single-node control. FABRIC_CELLS (default 112) scales the generated
 # grid; the paper-scale run uses FABRIC_CELLS=10000.
 #
+# Every restart also checks the crash epoch (DESIGN.md §15): a boot that
+# resumes a sweep adds exactly one "op":"epoch" record to requests.journal
+# (a boot with nothing to resume adds none), and no per-sweep assignment
+# journal (sweep-*.assign) is ever written.
+#
 # This is the CI-level counterpart of internal/server's unit tests: it
 # exercises the real binary, real signals, and a real restart.
 set -euo pipefail
@@ -63,6 +68,26 @@ wait_ready() {
 		sleep 0.1
 	done
 	fail "daemon never became ready"
+}
+
+# epoch_lines: how many crash-epoch records the request journal holds.
+epoch_lines() {
+	grep -c '"op":"epoch"' "$JOURNAL/requests.journal" || true
+}
+
+# check_restart BEFORE: run once a restarted daemon is ready. If it resumed
+# a sweep, the request journal must hold exactly one more crash-epoch
+# record than BEFORE (epoch_lines before the restart), otherwise the same
+# number; and no assignment journal may exist.
+check_restart() {
+	local want=$1 got
+	[[ "$(metric_val jobs_resumed)" == "0" ]] || want=$(($1 + 1))
+	got=$(epoch_lines)
+	[[ "$got" -eq "$want" ]] || fail "request journal holds $got epoch record(s) after the restart, want $want"
+	if compgen -G "$JOURNAL/sweep-*.assign" >/dev/null; then
+		fail "assignment journal written: $(ls "$JOURNAL"/sweep-*.assign)"
+	fi
+	echo "simd-smoke: restart recorded crash epoch $got, no assignment journal"
 }
 
 # wait_done ID BUDGET_TICKS: poll GET /sweep/ID until done; fail on
@@ -144,10 +169,13 @@ graceful_smoke() {
 	echo "simd-smoke: graceful drain confirmed (exit 0)"
 
 	echo "simd-smoke: boot 2 (journal recovery)"
+	local EPOCHS
+	EPOCHS=$(epoch_lines)
 	"$WORK/simd" -addr "$ADDR" -journal "$JOURNAL" \
 		>>"$WORK/simd.log" 2>&1 &
 	SIMD_PID=$!
 	wait_ready
+	check_restart "$EPOCHS"
 
 	# Whether boot 1 finished the sweep before draining or left it
 	# interrupted, boot 2 must converge on a settled journal: either nothing
@@ -251,10 +279,13 @@ chaos_smoke() {
 	fi
 
 	echo "simd-smoke(chaos): boot 2 (crash recovery)"
+	local EPOCHS
+	EPOCHS=$(epoch_lines)
 	"$WORK/simd" -addr "$ADDR" -journal "$JOURNAL" -concurrency 1 \
 		"${CKPT_FLAGS[@]}" >>"$WORK/simd.log" 2>&1 &
 	SIMD_PID=$!
 	wait_ready
+	check_restart "$EPOCHS"
 	local STATUS RESULTS
 	STATUS=$(wait_done "$ID" 1200)
 	RESULTS=$(results_of "$STATUS")
@@ -415,11 +446,14 @@ fabric_chaos_smoke() {
 	wait "$SIMD_PID" || EXIT=$?
 	SIMD_PID=""
 	[[ "$EXIT" -eq 0 ]] || fail "coordinator exited $EXIT on SIGTERM, want 0"
+	local EPOCHS
+	EPOCHS=$(epoch_lines)
 	"$WORK/simd" -addr "$ADDR" -journal "$JOURNAL" "${FABRIC_FLAGS[@]}" \
 		>>"$WORK/simd.log" 2>&1 &
 	SIMD_PID=$!
 	wait_ready
 	[[ "$(metric_val jobs_resumed)" == "1" ]] || fail "coordinator did not resume the sweep from its journal"
+	check_restart "$EPOCHS"
 	echo "simd-smoke(fabric): resumed with cells_restored=$(metric_val cells_restored)"
 
 	# w3 survived the restart (its stale lease gets 410, it re-registers);
