@@ -66,18 +66,45 @@ func TestEngineAllocRegression(t *testing.T) {
 	}
 }
 
-// TestInterpAllocRegression bounds the bytes a plain functional run of
-// sort allocates; exp.Prepare makes two such runs per program.
+// TestInterpAllocRegression bounds the bytes functional runs of sort
+// allocate: a plain run, each of the passes exp.Prepare makes (the
+// profiling run on input set 1 and the reference run recording the
+// trace), and the two together through interp.Passes.
 func TestInterpAllocRegression(t *testing.T) {
 	w := workload(t)
-	_, bytes := allocsPerRun(2, func() {
-		if _, err := interp.Run(w.Prog, w.In0, w.In1, interp.Options{}); err != nil {
-			t.Error(err)
-		}
-	})
-	t.Logf("interp.Run: %.0f KiB per run", bytes/1024)
-	if bytes > maxRunBytes {
-		t.Errorf("interp.Run allocates %.0f bytes per run, above the %d bound", bytes, maxRunBytes)
+	p1in0, p1in1 := w.Bench.Inputs(1)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Plain", func() error {
+			_, err := interp.Run(w.Prog, w.In0, w.In1, interp.Options{})
+			return err
+		}},
+		{"Profile", func() error {
+			_, err := interp.Run(w.Prog, p1in0, p1in1, interp.Options{Profile: interp.NewProfile()})
+			return err
+		}},
+		{"Trace", func() error {
+			_, err := interp.Run(w.Prog, w.In0, w.In1, interp.Options{RecordTrace: true})
+			return err
+		}},
+		{"Passes", func() error {
+			_, _, err := interp.Passes(w.Prog, p1in0, p1in1, w.In0, w.In1, 0)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, bytes := allocsPerRun(2, func() {
+				if err := tc.run(); err != nil {
+					t.Error(err)
+				}
+			})
+			t.Logf("%s: %.0f KiB per run", tc.name, bytes/1024)
+			if bytes > maxRunBytes {
+				t.Errorf("%s allocates %.0f bytes per run, above the %d bound", tc.name, bytes, maxRunBytes)
+			}
+		})
 	}
 }
 

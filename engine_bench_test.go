@@ -8,6 +8,11 @@
 //
 //	go test -bench=Engine -benchtime=1x
 //
+// BenchmarkPrepare times the fixed cost every program pays before its
+// first cell, exp.Prepare, on each paper benchmark:
+//
+//	go test -run '^$' -bench '^BenchmarkPrepare$' -benchmem
+//
 // Setting FGPSIM_BENCH_JSON=path additionally runs the suite through
 // testing.Benchmark and writes the measurements as JSON (the file
 // results/BENCH_engine.json is produced this way), so the performance
@@ -61,6 +66,23 @@ func BenchmarkEngineDyn256Single(b *testing.B)   { benchEngineRun(b, engineConfi
 func BenchmarkEngineDyn256Enlarged(b *testing.B) { benchEngineRun(b, engineConfigs[3].Cfg()) }
 func BenchmarkEngineDyn256Cached(b *testing.B)   { benchEngineRun(b, engineConfigs[4].Cfg()) }
 func BenchmarkEngineStatic(b *testing.B)         { benchEngineRun(b, engineConfigs[5].Cfg()) }
+
+// BenchmarkPrepare prepares each paper benchmark from a fresh value, so an
+// operation is what an unseen program costs: compile, the profiling and
+// reference passes, the enlargement file and the hints.
+func BenchmarkPrepare(b *testing.B) {
+	for _, bm := range Benchmarks() {
+		name := bm.Name
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PrepareBenchmark(BenchmarkByName(name), DefaultEnlargeOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // engineBenchRecord is one measured configuration in BENCH_engine.json.
 type engineBenchRecord struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fgpsim/internal/interp"
+	"fgpsim/internal/ir"
 	"fgpsim/internal/minic"
 	"fgpsim/internal/sched/exact"
 )
@@ -177,5 +178,41 @@ func TestCountStatements(t *testing.T) {
 	}
 	if n := CountStatements("not minic"); n != -1 {
 		t.Errorf("CountStatements on garbage = %d, want -1", n)
+	}
+}
+
+// TestPrepareFailedPassError: a case whose profiling or reference run
+// fails reports the failing pass the way it always has, its run's error
+// wrapped.
+func TestPrepareFailedPassError(t *testing.T) {
+	// b0: r6 = getc(0); br r6 -> b1 else b2. b1 holds a jump among its
+	// body nodes, which the interpreter refuses; b2 halts.
+	p := &ir.Program{MemSize: 1 << 16}
+	p.Funcs = append(p.Funcs, &ir.Func{Name: "main"})
+	p.AddBlock(0, &ir.Block{
+		Body: []ir.Node{
+			{Op: ir.Const, Dst: 8, Imm: 0},
+			{Op: ir.Sys, Dst: 6, A: 8, B: ir.NoReg, Imm: ir.SysGetc},
+		},
+		Term: ir.Node{Op: ir.Br, A: 6, Target: 1},
+		Fall: 2,
+	})
+	p.AddBlock(0, &ir.Block{Body: []ir.Node{{Op: ir.Jmp, Target: 2}}, Term: ir.Node{Op: ir.Halt}, Fall: ir.NoBlock})
+	p.AddBlock(0, &ir.Block{Term: ir.Node{Op: ir.Halt}, Fall: ir.NoBlock})
+	_, runErr := interp.Run(p, []byte{1}, nil, interp.Options{})
+	if runErr == nil {
+		t.Fatal("the bad block ran")
+	}
+	for _, tc := range []struct {
+		pass          string
+		profIn, refIn []byte
+	}{
+		{"profile", []byte{1}, []byte{0}},
+		{"reference", []byte{0}, []byte{1}},
+	} {
+		_, err := PrepareCase("bad", p, tc.profIn, tc.refIn)
+		if want := "difftest: bad: " + tc.pass + " run: " + runErr.Error(); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %q", err, want)
+		}
 	}
 }

@@ -89,16 +89,13 @@ func PrepareCase(name string, prog *ir.Program, profileIn, in []byte) (*Case, er
 // cases that need the second input stream, build the struct and call this
 // directly; CompileCase and PrepareCase cover the stream-0-only shape).
 func (c *Case) Prepare() error {
-	c.Profile = interp.NewProfile()
-	if _, err := interp.Run(c.Prog, c.ProfileIn, c.ProfileIn1, interp.Options{Profile: c.Profile, MaxNodes: maxNodes}); err != nil {
-		return fmt.Errorf("difftest: %s: profile run: %w", c.Name, err)
-	}
-	c.EF = enlarge.Build(c.Prog, c.Profile, enlarge.DefaultOptions())
-	c.Hints = branch.HintsFromProfile(c.Profile.Taken, c.Profile.NotTaken)
-	ref, err := interp.Run(c.Prog, c.In, c.In1, interp.Options{RecordTrace: true, MaxNodes: maxNodes})
+	prof, ref, err := interp.Passes(c.Prog, c.ProfileIn, c.ProfileIn1, c.In, c.In1, maxNodes)
 	if err != nil {
-		return fmt.Errorf("difftest: %s: reference run: %w", c.Name, err)
+		return fmt.Errorf("difftest: %s: %w", c.Name, err)
 	}
+	c.Profile = prof
+	c.EF = enlarge.Build(c.Prog, prof, enlarge.DefaultOptions())
+	c.Hints = branch.HintsFromProfile(prof.Taken, prof.NotTaken)
 	c.Ref = ref
 	return nil
 }

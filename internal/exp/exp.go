@@ -45,29 +45,25 @@ type Prepared struct {
 	imgs imageCache
 }
 
-// Prepare runs the paper's two-input methodology for one benchmark.
+// Prepare runs the paper's two-input methodology for one benchmark: the
+// profiling run on input set 1 builds the enlargement file and the hints,
+// and the reference run on input set 2 gives the trace and the output
+// every simulated run must reproduce.
 func Prepare(b *bench.Benchmark, eo enlarge.Options) (*Prepared, error) {
 	prog, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", b.Name, err)
 	}
 	p := &Prepared{Bench: b, Prog: prog}
-
-	// Profiling run on input set 1.
 	p1in0, p1in1 := b.Inputs(1)
-	p.Profile = interp.NewProfile()
-	if _, err := interp.Run(prog, p1in0, p1in1, interp.Options{Profile: p.Profile, MaxNodes: 200_000_000}); err != nil {
-		return nil, fmt.Errorf("exp: %s profile run: %w", b.Name, err)
-	}
-	p.EF = enlarge.Build(prog, p.Profile, eo)
-	p.Hints = branch.HintsFromProfile(p.Profile.Taken, p.Profile.NotTaken)
-
-	// Reference + trace run on input set 2.
 	p.In0, p.In1 = b.Inputs(2)
-	ref, err := interp.Run(prog, p.In0, p.In1, interp.Options{RecordTrace: true, MaxNodes: 200_000_000})
+	prof, ref, err := interp.Passes(prog, p1in0, p1in1, p.In0, p.In1, 200_000_000)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s reference run: %w", b.Name, err)
+		return nil, fmt.Errorf("exp: %s %w", b.Name, err)
 	}
+	p.Profile = prof
+	p.EF = enlarge.Build(prog, prof, eo)
+	p.Hints = branch.HintsFromProfile(prof.Taken, prof.NotTaken)
 	p.Trace = ref.Trace
 	p.RefOutput = ref.Output
 	p.RefNodes = ref.RetiredNodes

@@ -236,15 +236,17 @@ func TestImageCacheFillUnitBypass(t *testing.T) {
 
 // TestImagesShareTranslations: every figure configuration on sort runs one
 // of exactly two programs, the compiled one and one materialized
-// enlargement; static images of one block mode differ only in their
-// schedules; and running a static, a dynamic, a perfect and a FillUnit
-// cell changes neither shared program, since the FillUnit run enlarges a
-// private one.
+// enlargement, whose original blocks share their bodies with the compiled
+// one; static images of one block mode differ only in their schedules;
+// and neither materializing nor running a static, a dynamic, a perfect
+// and a FillUnit cell changes a shared program, since the FillUnit run
+// enlarges a private one.
 func TestImagesShareTranslations(t *testing.T) {
 	p, err := Prepare(bench.ByName("sort"), enlarge.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fpBase := loader.ProgramFingerprint(p.Prog)
 	progs := make(map[*ir.Program]bool)
 	firstStatic := make(map[bool]*loader.Image) // by enlarged block mode
 	for _, cfg := range FigureConfigs() {
@@ -276,7 +278,15 @@ func TestImagesShareTranslations(t *testing.T) {
 			enlarged = prog
 		}
 	}
+	for id, b := range p.Prog.Blocks {
+		if len(b.Body) > 0 && &enlarged.Blocks[id].Body[0] != &b.Body[0] {
+			t.Fatalf("block %d: the enlarged translation copied its body", id)
+		}
+	}
 	fpSingle, fpEnlarged := loader.ProgramFingerprint(p.Prog), loader.ProgramFingerprint(enlarged)
+	if fpSingle != fpBase {
+		t.Error("materializing the enlargement changed the compiled program")
+	}
 
 	for _, c := range []Curve{{machine.Static, machine.EnlargedBB}, {machine.Dyn4, machine.SingleBB}, {machine.Dyn256, machine.Perfect}} {
 		if _, err := p.Run(MustConfigFor(c, 8, 'A')); err != nil {

@@ -16,6 +16,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"fgpsim/internal/ir"
 )
@@ -82,8 +83,13 @@ type undoStore struct {
 	old  [4]byte
 }
 
-// Machine executes a program functionally.
-type Machine struct {
+// blockCounts are one block's profile events in a run.
+type blockCounts struct {
+	execs, taken, notTaken int64
+}
+
+// machine executes a program functionally.
+type machine struct {
 	prog *ir.Program
 	mem  *ir.Memory
 	regs [ir.NumRegs]int32
@@ -97,6 +103,13 @@ type Machine struct {
 	opts Options
 	res  Result
 
+	// counts holds the profile events per BlockID while the run lasts (nil
+	// unless opts.Profile is set); fold adds them to opts.Profile.
+	counts []blockCounts
+	// tx records per BlockID whether the block holds an Assert, that is,
+	// whether it executes transactionally.
+	tx []bool
+
 	// Transactional state for the current block.
 	regUndo []regUndo
 	memUndo []undoStore
@@ -107,25 +120,108 @@ type regUndo struct {
 	old int32
 }
 
-// New creates a machine for one run. in0 and in1 are the two input streams
-// (stream 1 may be nil).
-func New(p *ir.Program, in0, in1 []byte, opts Options) *Machine {
-	m := &Machine{prog: p, mem: ir.NewMemory(p), opts: opts}
+// newMachine creates a machine for one run. in0 and in1 are the two input
+// streams (stream 1 may be nil).
+func newMachine(p *ir.Program, in0, in1 []byte, opts Options) *machine {
+	m := &machine{prog: p, mem: ir.NewMemory(p), opts: opts}
 	m.in[0] = in0
 	m.in[1] = in1
 	m.regs[ir.RegSP] = ir.InitialSP(p.MemSize)
+	m.tx = make([]bool, len(p.Blocks))
+	for id, b := range p.Blocks {
+		for i := range b.Body {
+			if b.Body[i].Op == ir.Assert {
+				m.tx[id] = true
+				break
+			}
+		}
+	}
+	if opts.Profile != nil {
+		m.counts = make([]blockCounts, len(p.Blocks))
+	}
 	return m
 }
 
-// Run executes the program to completion and returns the result.
+// Run executes the program to completion and returns the result. A
+// profile in opts receives the run's counts when Run returns, on error
+// too.
 func Run(p *ir.Program, in0, in1 []byte, opts Options) (*Result, error) {
-	m := New(p, in0, in1, opts)
-	return m.Run()
+	m := newMachine(p, in0, in1, opts)
+	err := m.run()
+	if opts.Profile != nil {
+		m.fold(opts.Profile)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.res.Output = m.output
+	return &m.res, nil
+}
+
+// fold adds the run's per-block counts to prof: a conditional branch
+// block's taken count is its arc to Term.Target and its not-taken count
+// its arc to Fall, summed when the two are one block.
+func (m *machine) fold(prof *Profile) {
+	for i, c := range m.counts {
+		id := ir.BlockID(i)
+		if c.execs != 0 {
+			prof.Blocks[id] += c.execs
+		}
+		if c.taken != 0 {
+			prof.Taken[id] += c.taken
+			prof.Arcs[Arc{id, m.prog.Blocks[id].Term.Target}] += c.taken
+		}
+		if c.notTaken != 0 {
+			prof.NotTaken[id] += c.notTaken
+			prof.Arcs[Arc{id, m.prog.Blocks[id].Fall}] += c.notTaken
+		}
+	}
+}
+
+// Passes runs the paper's two functional passes over p: the profiling run
+// on input set 1 (prof0, prof1), whose profile it returns, and the
+// reference run on input set 2 (ref0, ref1), which records the trace.
+// Neither reads the other's result, so the reference run goes on a second
+// goroutine while the profiling run takes the caller's. Each run stops
+// after maxNodes nodes. Passes returns only once both runs have finished,
+// so a failed pass still waits for the other; its error names the pass,
+// the profiling pass's first. A panic in the profiling run leaves at once;
+// one in the reference run is raised again on the caller's goroutine,
+// carrying the stack it was raised on, once the profiling run is done.
+func Passes(p *ir.Program, prof0, prof1, ref0, ref1 []byte, maxNodes int64) (*Profile, *Result, error) {
+	var (
+		ref      *Result
+		refErr   error
+		refPanic any
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			if r := recover(); r != nil {
+				refPanic = fmt.Sprintf("%v\n%s", r, debug.Stack())
+			}
+		}()
+		ref, refErr = Run(p, ref0, ref1, Options{RecordTrace: true, MaxNodes: maxNodes})
+	}()
+	prof := NewProfile()
+	_, err := Run(p, prof0, prof1, Options{Profile: prof, MaxNodes: maxNodes})
+	<-done
+	if err != nil {
+		return nil, nil, fmt.Errorf("profile run: %w", err)
+	}
+	if refPanic != nil {
+		panic(refPanic)
+	}
+	if refErr != nil {
+		return nil, nil, fmt.Errorf("reference run: %w", refErr)
+	}
+	return prof, ref, nil
 }
 
 // storeTx stores to memory, first logging the bytes it overwrites when the
 // block executes transactionally.
-func (m *Machine) storeTx(a int32, size int64, v int32, transactional bool) {
+func (m *machine) storeTx(a int32, size int64, v int32, transactional bool) {
 	if transactional {
 		u := undoStore{addr: m.mem.Clamp(a, size), size: int8(size)}
 		m.mem.Read(u.addr, u.old[:size])
@@ -134,15 +230,15 @@ func (m *Machine) storeTx(a int32, size int64, v int32, transactional bool) {
 	m.mem.Store(a, size, v)
 }
 
-func (m *Machine) setReg(r ir.Reg, v int32, transactional bool) {
+func (m *machine) setReg(r ir.Reg, v int32, transactional bool) {
 	if transactional {
 		m.regUndo = append(m.regUndo, regUndo{r, m.regs[r]})
 	}
 	m.regs[r] = v
 }
 
-// Syscall executes a system call against the machine's streams.
-func (m *Machine) Syscall(no int64, a, b int32) int32 {
+// syscall executes a system call against the machine's streams.
+func (m *machine) syscall(no int64, a, b int32) int32 {
 	switch no {
 	case ir.SysGetc:
 		s := int(a) & 1
@@ -159,39 +255,31 @@ func (m *Machine) Syscall(no int64, a, b int32) int32 {
 	return -1
 }
 
-// Run drives execution block by block.
-func (m *Machine) Run() (*Result, error) {
+// run drives execution block by block until the program halts.
+func (m *machine) run() error {
 	cur := m.prog.Func(m.prog.Entry).Entry
 	for {
-		next, halted, err := m.ExecBlock(cur)
+		next, halted, err := m.execBlock(cur)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if halted {
-			break
+			return nil
 		}
 		cur = next
 	}
-	m.res.Output = m.output
-	return &m.res, nil
 }
 
-// ExecBlock executes one block transactionally and returns the successor.
+// execBlock executes one block transactionally and returns the successor.
 // Assert faults roll the block back and return the fault target.
-func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err error) {
+func (m *machine) execBlock(id ir.BlockID) (next ir.BlockID, halted bool, err error) {
 	b := m.prog.Block(id)
 	if m.opts.RecordTrace && b.Orig == id {
 		// Entry blocks only; enlarged programs are traced through Orig at
 		// retirement by the engines, the interpreter traces originals.
 		m.res.Trace = append(m.res.Trace, id)
 	}
-	tx := false
-	for i := range b.Body {
-		if b.Body[i].Op == ir.Assert {
-			tx = true
-			break
-		}
-	}
+	tx := m.tx[id]
 	if tx {
 		m.regUndo = m.regUndo[:0]
 		m.memUndo = m.memUndo[:0]
@@ -231,7 +319,7 @@ func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err er
 			if n.B != ir.NoReg {
 				bb = m.regs[n.B]
 			}
-			m.setReg(n.Dst, m.Syscall(n.Imm, a, bb), tx)
+			m.setReg(n.Dst, m.syscall(n.Imm, a, bb), tx)
 		case n.Op == ir.Assert:
 			taken := m.regs[n.A] != 0
 			if taken != n.Expect {
@@ -246,8 +334,10 @@ func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err er
 	}
 
 	m.res.RetiredBlocks++
-	if m.opts.Profile != nil {
-		m.opts.Profile.Blocks[id]++
+	var c *blockCounts
+	if m.counts != nil {
+		c = &m.counts[id]
+		c.execs++
 	}
 	if err := m.countNodes(nodesDone + 1); err != nil { // +1 for the terminator
 		return 0, false, err
@@ -256,21 +346,16 @@ func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err er
 	t := &b.Term
 	switch t.Op {
 	case ir.Br:
-		taken := m.regs[t.A] != 0
-		if m.opts.Profile != nil {
-			if taken {
-				m.opts.Profile.Taken[id]++
-			} else {
-				m.opts.Profile.NotTaken[id]++
-			}
-		}
-		if taken {
+		if m.regs[t.A] != 0 {
 			next = t.Target
+			if c != nil {
+				c.taken++
+			}
 		} else {
 			next = b.Fall
-		}
-		if m.opts.Profile != nil {
-			m.opts.Profile.Arcs[Arc{id, next}]++
+			if c != nil {
+				c.notTaken++
+			}
 		}
 	case ir.Jmp:
 		next = t.Target
@@ -289,7 +374,7 @@ func (m *Machine) ExecBlock(id ir.BlockID) (next ir.BlockID, halted bool, err er
 	return next, false, nil
 }
 
-func (m *Machine) countNodes(n int64) error {
+func (m *machine) countNodes(n int64) error {
 	m.res.RetiredNodes += n
 	if m.opts.MaxNodes > 0 && m.res.RetiredNodes > m.opts.MaxNodes {
 		return ErrNodeLimit
@@ -297,7 +382,7 @@ func (m *Machine) countNodes(n int64) error {
 	return nil
 }
 
-func (m *Machine) rollback() {
+func (m *machine) rollback() {
 	for i := len(m.memUndo) - 1; i >= 0; i-- {
 		u := m.memUndo[i]
 		m.mem.Write(u.addr, u.old[:u.size])

@@ -191,24 +191,24 @@ func TestAssertPassExecutesRest(t *testing.T) {
 }
 
 func TestGetcEOFAndStreams(t *testing.T) {
-	m := New(makeProgram(), []byte{7}, []byte{42}, Options{})
-	if v := m.Syscall(ir.SysGetc, 0, 0); v != 7 {
+	m := newMachine(makeProgram(), []byte{7}, []byte{42}, Options{})
+	if v := m.syscall(ir.SysGetc, 0, 0); v != 7 {
 		t.Errorf("getc(0) = %d, want 7", v)
 	}
-	if v := m.Syscall(ir.SysGetc, 0, 0); v != -1 {
+	if v := m.syscall(ir.SysGetc, 0, 0); v != -1 {
 		t.Errorf("getc(0) at EOF = %d, want -1", v)
 	}
-	if v := m.Syscall(ir.SysGetc, 1, 0); v != 42 {
+	if v := m.syscall(ir.SysGetc, 1, 0); v != 42 {
 		t.Errorf("getc(1) = %d, want 42", v)
 	}
-	if v := m.Syscall(99, 0, 0); v != -1 {
+	if v := m.syscall(99, 0, 0); v != -1 {
 		t.Errorf("unknown syscall = %d, want -1", v)
 	}
 }
 
 func TestMemoryClamping(t *testing.T) {
 	p := makeProgram()
-	m := New(p, nil, nil, Options{})
+	m := newMachine(p, nil, nil, Options{})
 	// Wild addresses clamp into the guard page instead of crashing.
 	m.mem.Store(int32(-4), 4, 123)
 	if v := m.mem.Load(int32(-4), 4); v != 123 {
@@ -222,7 +222,7 @@ func TestMemoryClamping(t *testing.T) {
 
 func TestByteAndWordAccess(t *testing.T) {
 	p := makeProgram()
-	m := New(p, nil, nil, Options{})
+	m := newMachine(p, nil, nil, Options{})
 	m.mem.Store(5000, 4, -2)
 	if v := m.mem.Load(5000, 4); v != -2 {
 		t.Errorf("word round trip = %d, want -2", v)

@@ -194,8 +194,12 @@ func LoadDegrading(base *ir.Program, cfg machine.Config, ef *enlarge.File) (*Ima
 	return img, nil
 }
 
-// Clone deep-copies a program so that a translation's rewrites never
-// touch the shared base.
+// Clone copies a program's functions and block structs so that a
+// translation's rewrites never touch the shared base. Block bodies stay
+// shared with the base, clipped to their length so that an append to one
+// copies it first: materialization builds every new body afresh and
+// rewrites only terminators, fall-throughs and function entries of the
+// original blocks.
 func Clone(p *ir.Program) *ir.Program {
 	np := &ir.Program{
 		Entry:    p.Entry,
@@ -212,7 +216,7 @@ func Clone(p *ir.Program) *ir.Program {
 	np.Blocks = make([]*ir.Block, len(p.Blocks))
 	for i, b := range p.Blocks {
 		nb := *b
-		nb.Body = append([]ir.Node(nil), b.Body...)
+		nb.Body = b.Body[:len(b.Body):len(b.Body)]
 		np.Blocks[i] = &nb
 	}
 	return np

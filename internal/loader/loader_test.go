@@ -60,12 +60,19 @@ func profileAndEnlarge(t *testing.T, p *ir.Program, in []byte) *enlarge.File {
 	return ef
 }
 
+// TestCloneIsDeep: a clone's function and block structs are its own, and
+// its block bodies, shared with the base, are clipped so that an append
+// to one cannot write into the base's.
 func TestCloneIsDeep(t *testing.T) {
 	p := compile(t)
 	c := loader.Clone(p)
+	for id, b := range c.Blocks {
+		if b == p.Blocks[id] || cap(b.Body) != len(b.Body) {
+			t.Fatalf("block %d: clone shares the block or can grow into the base's body", id)
+		}
+	}
 	c.Blocks[0].Body = append(c.Blocks[0].Body, ir.Node{Op: ir.Const, Dst: 5})
-	origLen := len(p.Blocks[0].Body)
-	if len(c.Blocks[0].Body) == origLen {
+	if len(c.Blocks[0].Body) == len(p.Blocks[0].Body) {
 		t.Fatal("clone body not independent")
 	}
 	c.Funcs[0].Blocks = append(c.Funcs[0].Blocks, 0)
